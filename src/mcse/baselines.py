@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crn import CrnConfig, CrnParams, crn_forward, init_crn_params
+from .crn import CrnConfig, CrnParams, apply_crn_mask, init_crn_params
 from .dsp import Spectrogram, TimeSignal, istft, shift_fractional, stft
-from .tensor import Tensor, concat, no_grad
+from .tensor import no_grad
 
 WPE_TAPS = 10
 WPE_DELAY = 3
@@ -255,12 +255,14 @@ class FilterSumModel:
     def named_params(self) -> dict:
         return {f"crn.{k}": v for k, v in self.crn.params.items()}
 
+    def named_buffers(self) -> dict:
+        return {f"crn.{k}": v for k, v in self.crn.buffers.items()}
+
 
 def init_filter_sum_model(p_channels: int, width_scale=1, freq_bins: int = 256,
                           seed: int = 0, dtype=np.float32) -> FilterSumModel:
     cfg = CrnConfig(
-        c_in=2 * p_channels, c_out=2 * p_channels,
-        width_scale=width_scale, freq_bins=freq_bins, decoder_mode="mask",
+        c_in=2 * p_channels, c_out=2 * p_channels, width_scale=width_scale, freq_bins=freq_bins,
     )
     rng = np.random.default_rng(seed)
     return FilterSumModel(p_channels, init_crn_params(cfg, rng, dtype))
@@ -277,13 +279,8 @@ def combine_filter_sum(y: Spectrogram, w_re: np.ndarray, w_im: np.ndarray) -> Sp
 
 def filter_sum_tensors(y_re, y_im, model: FilterSumModel, training: bool = False):
     """Graph version for training: returns single-channel (T, F) tensors."""
-    y_re = y_re if isinstance(y_re, Tensor) else Tensor(np.asarray(y_re, dtype=np.float32))
-    y_im = y_im if isinstance(y_im, Tensor) else Tensor(np.asarray(y_im, dtype=np.float32))
-    feat = concat([y_re, y_im], axis=0)
-    w_re, w_im = crn_forward(feat, model.crn, training=training)
-    re = (w_re * y_re - w_im * y_im).sum(axis=0)
-    im = (w_re * y_im + w_im * y_re).sum(axis=0)
-    return re, im
+    re, im = apply_crn_mask(y_re, y_im, model.crn, training)
+    return re.sum(axis=0), im.sum(axis=0)
 
 
 def filter_and_sum_nn(y: Spectrogram, model: FilterSumModel) -> Spectrogram:

@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from .baselines import FilterSumModel
 from .crn import CrnConfig, init_crn_params
 from .optim import AdamWState
 from .pipeline import StftSettings, TwoStageModel, init_spatial_params
-from .tensor import Tensor
 
 MAGIC = b"MCSECKPT"
 VERSION = 1
@@ -63,51 +64,68 @@ def _crn_descriptor(cfg: CrnConfig) -> dict:
         "c_out": cfg.c_out,
         "width_scale": str(cfg.width_scale),
         "freq_bins": cfg.freq_bins,
-        "decoder_mode": cfg.decoder_mode,
-        "dual_decoder": cfg.dual_decoder,
     }
 
 
 def _crn_from_descriptor(d: dict) -> CrnConfig:
+    # older files also carry decoder_mode, which never changed the network,
+    # and dual_decoder, which is true for every CRN this package builds
+    if not d.get("dual_decoder", True):
+        raise ValueError("dual_decoder: false is not supported; every CRN has two decoders")
     return CrnConfig(
         c_in=int(d["c_in"]),
         c_out=int(d["c_out"]),
         width_scale=Fraction(d["width_scale"]),
         freq_bins=int(d["freq_bins"]),
-        decoder_mode=d["decoder_mode"],
-        dual_decoder=bool(d["dual_decoder"]),
     )
+
+
+def _two_stage_header(model: TwoStageModel) -> dict:
+    return {
+        "p_channels": model.p_channels,
+        "stage1": _crn_descriptor(model.stage1.config),
+        "stage2": _crn_descriptor(model.stage2.config),
+        "stft": asdict(model.stft),
+    }
+
+
+def _two_stage_model(header: dict, rng: np.random.Generator) -> TwoStageModel:
+    return TwoStageModel(
+        p_channels=int(header["p_channels"]),
+        stage1=init_crn_params(_crn_from_descriptor(header["stage1"]), rng),
+        spatial=init_spatial_params(int(header["p_channels"]), rng),
+        stage2=init_crn_params(_crn_from_descriptor(header["stage2"]), rng),
+        stft=StftSettings(**header["stft"]),
+    )
+
+
+def _filter_sum_header(model: FilterSumModel) -> dict:
+    return {"p_channels": model.p_channels, "crn": _crn_descriptor(model.crn.config)}
+
+
+def _filter_sum_model(header: dict, rng: np.random.Generator) -> FilterSumModel:
+    return FilterSumModel(
+        int(header["p_channels"]), init_crn_params(_crn_from_descriptor(header["crn"]), rng)
+    )
+
+
+# kind -> (model class, model -> header fields, (header, layout rng) -> model)
+KINDS = {
+    "two_stage": (TwoStageModel, _two_stage_header, _two_stage_model),
+    "filter_sum": (FilterSumModel, _filter_sum_header, _filter_sum_model),
+}
 
 
 def save_checkpoint(path, model, optimizer: AdamWState | None = None,
                     extra: dict | None = None):
     """Serialize a TwoStageModel or FilterSumModel with optional optimizer
     state. Tensors are written as float32 regardless of working dtype."""
-    from .baselines import FilterSumModel
-
-    if isinstance(model, TwoStageModel):
-        header = {
-            "kind": "two_stage",
-            "p_channels": model.p_channels,
-            "stage1": _crn_descriptor(model.stage1.config),
-            "stage2": _crn_descriptor(model.stage2.config),
-            "stft": {
-                "frame_size": model.stft.frame_size,
-                "hop": model.stft.hop,
-                "fft_size": model.stft.fft_size,
-                "sample_rate": model.stft.sample_rate,
-            },
-        }
-        buffers = model.named_buffers()
-    elif isinstance(model, FilterSumModel):
-        header = {
-            "kind": "filter_sum",
-            "p_channels": model.p_channels,
-            "crn": _crn_descriptor(model.crn.config),
-        }
-        buffers = {f"crn.{k}": v for k, v in model.crn.buffers.items()}
+    for kind, (cls, to_header, _) in KINDS.items():
+        if isinstance(model, cls):
+            break
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
+    header = {"kind": kind, **to_header(model)}
     header["init"] = INIT_NOTES
     header["optimizer_step"] = optimizer.step if optimizer is not None else None
     if extra:
@@ -116,7 +134,7 @@ def save_checkpoint(path, model, optimizer: AdamWState | None = None,
     tensors = {}
     for name, t in model.named_params().items():
         tensors[f"param.{name}"] = t.data
-    for name, b in buffers.items():
+    for name, b in model.named_buffers().items():
         tensors[f"buffer.{name}"] = b
     if optimizer is not None:
         for name, m in optimizer.m.items():
@@ -137,8 +155,6 @@ def save_checkpoint(path, model, optimizer: AdamWState | None = None,
 
 def load_checkpoint(path):
     """Returns (model, optimizer_state_or_None, header)."""
-    from .baselines import FilterSumModel
-
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -150,25 +166,11 @@ def load_checkpoint(path):
         header = json.loads(fh.read(hlen).decode())
         tensors = _read_tensors(fh)
 
-    rng = np.random.default_rng(0)  # layout source only; data is overwritten below
     kind = header.get("kind")
-    if kind == "two_stage":
-        model = TwoStageModel(
-            p_channels=int(header["p_channels"]),
-            stage1=init_crn_params(_crn_from_descriptor(header["stage1"]), rng),
-            spatial=init_spatial_params(int(header["p_channels"]), rng),
-            stage2=init_crn_params(_crn_from_descriptor(header["stage2"]), rng),
-            stft=StftSettings(**header["stft"]),
-        )
-        buffers = model.named_buffers()
-    elif kind == "filter_sum":
-        model = FilterSumModel(
-            int(header["p_channels"]),
-            init_crn_params(_crn_from_descriptor(header["crn"]), rng),
-        )
-        buffers = {f"crn.{k}": v for k, v in model.crn.buffers.items()}
-    else:
+    if kind not in KINDS:
         raise ValueError(f"unsupported model kind {kind!r}")
+    rng = np.random.default_rng(0)  # layout source only; data is overwritten below
+    model = KINDS[kind][2](header, rng)
 
     params = model.named_params()
     for name, t in params.items():
@@ -180,7 +182,7 @@ def load_checkpoint(path):
                 f"shape mismatch for {name!r}: checkpoint {tensors[key].shape}, model {t.data.shape}"
             )
         t.data = tensors[key]
-    for name, b in buffers.items():
+    for name, b in model.named_buffers().items():
         key = f"buffer.{name}"
         if key not in tensors:
             raise ValueError(f"checkpoint missing buffer {name!r}")

@@ -108,7 +108,7 @@ def _cmd_train(args) -> int:
     cfg = _merged_config(args, {})
     tc_kwargs = {}
     for key in ("batch_size", "lr", "lr_halving_interval", "weight_decay",
-                "max_iters", "seed", "stage", "checkpoint_interval"):
+                "max_iters", "seed", "stage"):
         if key in cfg:
             tc_kwargs[key] = cfg[key]
     if args.stage:

@@ -38,7 +38,6 @@ KNOWN_KEYS = {
     "max_iters": int,
     "seed": int,
     "stage": str,
-    "checkpoint_interval": int,
     # model
     "width_scale": _parse_fraction,
     "freq_bins": int,

@@ -9,6 +9,10 @@ mirrored deconv decoders (one for the real plane, one for the imaginary)
 consume skip connections from the encoder, concatenated on the channel
 axis; the last block takes no skip and restores the full frequency axis.
 
+The output is a mask or an estimate only by use: apply_crn_mask applies it
+to the input as a complex ratio mask (Stage I, filter-and-sum); Stage II
+takes it as the estimate itself.
+
 All channel counts scale by a rational width multiplier so the same
 topology runs desk-sized.
 """
@@ -21,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import layers as L
-from .tensor import Tensor, concat
+from .tensor import as_tensor, concat
 
 BASE_CHANNELS = (16, 32, 64, 128, 256, 256)
 KERNEL = (1, 3)
@@ -30,6 +34,7 @@ PADDING = (0, 1)
 OUTPUT_PADDING = (0, 1)
 LSTM_LAYERS = 2
 ENCODER_DEPTH = 6
+DECODERS = ("dec_re", "dec_im")
 
 
 @dataclass
@@ -38,17 +43,13 @@ class CrnConfig:
     c_out: int
     width_scale: Fraction = Fraction(1)
     freq_bins: int = 256
-    decoder_mode: str = "mask"  # "mask": output multiplies the input; "map": direct estimate
-    dual_decoder: bool = True
 
     def __post_init__(self):
         self.width_scale = Fraction(self.width_scale)
         if self.c_in <= 0 or self.c_out <= 0:
             raise ValueError("channel counts must be positive")
-        if self.decoder_mode not in ("mask", "map"):
-            raise ValueError(f"unknown decoder_mode {self.decoder_mode!r}")
-        if self.dual_decoder and self.c_out % 2 != 0:
-            raise ValueError("dual-decoder c_out is the total over both branches and must be even")
+        if self.c_out % 2 != 0:
+            raise ValueError("c_out is the total over both decoder branches and must be even")
         if self.freq_bins % (1 << ENCODER_DEPTH) != 0:
             raise ValueError(f"freq_bins must be divisible by {1 << ENCODER_DEPTH}")
         for base in BASE_CHANNELS:
@@ -78,10 +79,6 @@ class CrnConfig:
         # (512 per direction at width 1 with 256 bins)
         return self.lstm_input // 2
 
-    @property
-    def branch_out(self) -> int:
-        return self.c_out // 2 if self.dual_decoder else self.c_out
-
     def decoder_in_channels(self) -> tuple:
         """Per-block decoder input channels (skip concatenation included)."""
         ladder = self.ladder
@@ -93,7 +90,7 @@ class CrnConfig:
 
     def decoder_out_channels(self) -> tuple:
         ladder = self.ladder
-        return tuple(list(ladder[4::-1]) + [self.branch_out])
+        return tuple(list(ladder[4::-1]) + [self.c_out // 2])
 
 
 @dataclass
@@ -103,9 +100,6 @@ class CrnParams:
     config: CrnConfig
     params: dict = field(default_factory=dict)
     buffers: dict = field(default_factory=dict)
-
-    def trainable(self) -> dict:
-        return self.params
 
 
 def _init_block(params, buffers, rng, name, w_shape, fan_in, out_ch, dtype):
@@ -132,16 +126,12 @@ def init_crn_params(config: CrnConfig, rng: np.random.Generator, dtype=np.float3
         c_prev = c
 
     params.update(
-        L.init_lstm_params(
-            rng, config.lstm_input, config.lstm_hidden, LSTM_LAYERS,
-            bidirectional=True, dtype=dtype, prefix="lstm",
-        )
+        L.init_lstm_params(rng, config.lstm_input, config.lstm_hidden, LSTM_LAYERS, dtype=dtype)
     )
 
-    branches = ("dec_re", "dec_im") if config.dual_decoder else ("dec",)
     ins = config.decoder_in_channels()
     outs = config.decoder_out_channels()
-    for branch in branches:
+    for branch in DECODERS:
         for i, (ci, co) in enumerate(zip(ins, outs)):
             _init_block(
                 params, buffers, rng, f"{branch}{i}", (ci, co, kt, kf), ci * kt * kf, co, dtype
@@ -149,17 +139,10 @@ def init_crn_params(config: CrnConfig, rng: np.random.Generator, dtype=np.float3
     return CrnParams(config, params, buffers)
 
 
-def _conv_block(x, p: CrnParams, name: str, training: bool):
-    h = L.conv2d(x, p.params[f"{name}.w"], p.params[f"{name}.b"], STRIDE, PADDING)
-    h = L.batchnorm2d(
-        h, p.params[f"{name}.bn.gamma"], p.params[f"{name}.bn.beta"],
-        p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"], training,
-    )
-    return L.prelu(h, p.params[f"{name}.prelu.a"])
-
-
-def _deconv_block(x, p: CrnParams, name: str, training: bool):
-    h = L.deconv2d(x, p.params[f"{name}.w"], p.params[f"{name}.b"], STRIDE, PADDING, OUTPUT_PADDING)
+def _block(layer, x, p: CrnParams, name: str, training: bool, *geometry):
+    """layer (conv2d or deconv2d, with any geometry past stride and
+    padding), then batchnorm and PReLU."""
+    h = layer(x, p.params[f"{name}.w"], p.params[f"{name}.b"], STRIDE, PADDING, *geometry)
     h = L.batchnorm2d(
         h, p.params[f"{name}.bn.gamma"], p.params[f"{name}.bn.beta"],
         p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"], training,
@@ -170,13 +153,11 @@ def _deconv_block(x, p: CrnParams, name: str, training: bool):
 def crn_forward(x, p: CrnParams, training: bool = False, trace: list | None = None):
     """Run the CRN on x: Tensor or array (C_in, T, freq_bins).
 
-    Returns a (re, im) pair of (branch_out, T, freq_bins) tensors. With
-    dual_decoder=False the single branch's output is returned for both
-    positions split down the channel axis.
+    Returns the (re, im) pair of (c_out / 2, T, freq_bins) tensors from
+    the two decoder branches.
     """
     cfg = p.config
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
+    x = as_tensor(x)
     if x.ndim != 3 or x.shape[0] != cfg.c_in or x.shape[2] != cfg.freq_bins:
         raise ValueError(
             f"crn_forward expects ({cfg.c_in}, T, {cfg.freq_bins}) input, got {x.shape}"
@@ -193,7 +174,7 @@ def crn_forward(x, p: CrnParams, training: bool = False, trace: list | None = No
     skips = []
     h = x
     for i in range(ENCODER_DEPTH):
-        h = _conv_block(h, p, f"enc{i}", training)
+        h = _block(L.conv2d, h, p, f"enc{i}", training)
         note(f"enc{i}", h)
         skips.append(h)
 
@@ -201,22 +182,26 @@ def crn_forward(x, p: CrnParams, training: bool = False, trace: list | None = No
     fb = cfg.f_bottleneck
     seq = h.transpose(1, 0, 2).reshape(t_len, c6 * fb)
     note("lstm_in", seq)
-    seq = L.lstm_seq(seq, p.params, cfg.lstm_hidden, LSTM_LAYERS, bidirectional=True)
+    seq = L.lstm_seq(seq, p.params, cfg.lstm_hidden, LSTM_LAYERS)
     note("lstm_out", seq)
     h = seq.reshape(t_len, c6, fb).transpose(1, 0, 2)
 
-    branches = ("dec_re", "dec_im") if cfg.dual_decoder else ("dec",)
     outs = []
-    for branch in branches:
+    for branch in DECODERS:
         d = h
         for i in range(ENCODER_DEPTH):
             if i < ENCODER_DEPTH - 1:
                 d = concat([d, skips[ENCODER_DEPTH - 1 - i]], axis=0)
-            d = _deconv_block(d, p, f"{branch}{i}", training)
+            d = _block(L.deconv2d, d, p, f"{branch}{i}", training, OUTPUT_PADDING)
             note(f"{branch}{i}", d)
         outs.append(d)
+    return outs[0], outs[1]
 
-    if cfg.dual_decoder:
-        return outs[0], outs[1]
-    half = cfg.c_out // 2
-    return outs[0][:half], outs[0][half:]
+
+def apply_crn_mask(y_re, y_im, p: CrnParams, training: bool = False):
+    """Run the CRN on the (P, T, F) planes y_re/y_im stacked on the
+    channel axis, reals first, and apply its output to them as a complex
+    ratio mask. Returns the masked (re, im) pair, each (P, T, F)."""
+    y_re, y_im = as_tensor(y_re, np.float32), as_tensor(y_im, np.float32)
+    m_re, m_im = crn_forward(concat([y_re, y_im], axis=0), p, training=training)
+    return m_re * y_re - m_im * y_im, m_re * y_im + m_im * y_re

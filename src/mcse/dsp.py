@@ -11,7 +11,7 @@ Hann overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,20 +100,6 @@ class Spectrogram:
         return cls(z.real.copy(), z.imag.copy(), frame_size, hop, fft_size, sample_rate)
 
 
-@dataclass
-class ComplexMask:
-    """Complex ratio mask with the same (C, T, F) layout as a Spectrogram."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        self.re = np.asarray(self.re)
-        self.im = np.asarray(self.im)
-        if self.re.shape != self.im.shape:
-            raise ValueError("re/im shape mismatch")
-
-
 def hann_window(size: int) -> np.ndarray:
     """Periodic Hann window (exact overlap-add constancy at size/2^k hops)."""
     n = np.arange(size)
@@ -186,25 +172,6 @@ def istft(s: Spectrogram, length: int | None = None) -> TimeSignal:
         else:
             out = np.pad(out, ((0, 0), (0, length - padded_len)))
     return TimeSignal(out, s.sample_rate)
-
-
-def apply_mask(y: Spectrogram, mask: ComplexMask) -> Spectrogram:
-    """Elementwise complex multiply, channel by channel."""
-    if mask.re.shape != y.re.shape:
-        raise ValueError(f"mask shape {mask.re.shape} does not match spectrogram {y.re.shape}")
-    re = mask.re * y.re - mask.im * y.im
-    im = mask.re * y.im + mask.im * y.re
-    return y.like(re, im)
-
-
-def compress_sqrt(s: Spectrogram, eps: float = COMPRESS_EPS) -> Spectrogram:
-    """Square-root magnitude compression: S * (|S| + eps)^(-1/2).
-
-    The compressed magnitude is |S| / sqrt(|S| + eps), i.e. roughly
-    sqrt(|S|) away from zero, with the phase untouched.
-    """
-    scale = 1.0 / np.sqrt(s.magnitude() + eps)
-    return s.like(s.re * scale, s.im * scale)
 
 
 def shift_fractional(x: np.ndarray, delay: float) -> np.ndarray:

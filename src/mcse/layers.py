@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _accum, _as_tensor, grad_enabled, make_node
+from .tensor import Tensor, _accum, as_tensor, concat, make_node
 
 
 def _pair(v):
@@ -41,7 +41,7 @@ def full_param(shape, value, dtype=np.float32) -> Tensor:
 
 def conv2d(x, w, b=None, stride=(1, 2), padding=(0, 1)) -> Tensor:
     """x: (C_in, T, F); w: (C_out, C_in, kt, kf); b: (C_out,) or None."""
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 4:
         raise ValueError(f"conv2d expects (C,T,F) input and 4-D kernel, got {x.shape}, {w.shape}")
     if x.shape[0] != w.shape[1]:
@@ -62,7 +62,7 @@ def conv2d(x, w, b=None, stride=(1, 2), padding=(0, 1)) -> Tensor:
             sl = xp[:, it : it + t_out * st : st, jf : jf + f_out * sf : sf]
             out += np.einsum("oc,ctf->otf", w.data[:, :, it, jf], sl, optimize=True)
     if b is not None:
-        b = _as_tensor(b)
+        b = as_tensor(b)
         out = out + b.data[:, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
@@ -89,7 +89,7 @@ def conv2d(x, w, b=None, stride=(1, 2), padding=(0, 1)) -> Tensor:
 
 def deconv2d(x, w, b=None, stride=(1, 2), padding=(0, 1), output_padding=(0, 1)) -> Tensor:
     """Transposed convolution. x: (C_in, T, F); w: (C_in, C_out, kt, kf)."""
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 3 or w.ndim != 4:
         raise ValueError(f"deconv2d expects (C,T,F) input and 4-D kernel, got {x.shape}, {w.shape}")
     if x.shape[0] != w.shape[0]:
@@ -116,7 +116,7 @@ def deconv2d(x, w, b=None, stride=(1, 2), padding=(0, 1), output_padding=(0, 1))
             )
     out = buf[:, pt : pt + t_out, pf : pf + f_out]
     if b is not None:
-        b = _as_tensor(b)
+        b = as_tensor(b)
         out = out + b.data[:, None, None]
     out = np.ascontiguousarray(out)
 
@@ -160,7 +160,7 @@ def batchnorm2d(
     normalization, unbiased for the running buffer). Eval mode uses the
     running buffers as constants.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 3:
         raise ValueError(f"batchnorm2d expects (C,T,F), got {x.shape}")
     c = x.shape[0]
@@ -204,7 +204,7 @@ def batchnorm2d(
 
 def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis of x (..., D)."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError("layernorm parameter shape mismatch")
@@ -231,7 +231,7 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 def prelu(x, a) -> Tensor:
     """Per-channel parametric ReLU on a channel-first tensor; a: (C,)."""
-    x, a = _as_tensor(x), _as_tensor(a)
+    x, a = as_tensor(x), as_tensor(a)
     if a.ndim != 1 or a.shape[0] != x.shape[0]:
         raise ValueError(f"prelu slope shape {a.shape} does not match channels {x.shape[0]}")
     a_b = a.data.reshape((x.shape[0],) + (1,) * (x.ndim - 1))
@@ -251,12 +251,12 @@ def prelu(x, a) -> Tensor:
 
 def linear(x, w, b=None) -> Tensor:
     """x: (..., D_in); w: (D_out, D_in); b: (D_out,) or None."""
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w = as_tensor(x), as_tensor(w)
     if x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear shape mismatch: input {x.shape}, weight {w.shape}")
     out = np.matmul(x.data, w.data.T)
     if b is not None:
-        b = _as_tensor(b)
+        b = as_tensor(b)
         out = out + b.data
 
     parents = (x, w) if b is None else (x, w, b)
@@ -291,7 +291,7 @@ def lstm_cell_seq(x, w_ih, w_hh, b) -> Tensor:
     g, o. Initial hidden and cell state are zero. Returns (B, T, H).
     The full BPTT backward is written out by hand.
     """
-    x, w_ih, w_hh, b = _as_tensor(x), _as_tensor(w_ih), _as_tensor(w_hh), _as_tensor(b)
+    x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
     if x.ndim != 3:
         raise ValueError(f"lstm_cell_seq expects (B,T,D), got {x.shape}")
     four_h, d_in = w_ih.shape
@@ -377,17 +377,14 @@ def init_lstm_params(
     input_size: int,
     hidden_size: int,
     layers: int,
-    bidirectional: bool,
     dtype=np.float32,
-    prefix: str = "lstm",
 ) -> dict:
-    """Named parameter dict for a (possibly bidirectional) stacked LSTM."""
+    """Named parameter dict for a stacked bidirectional LSTM."""
     params = {}
-    dirs = ("fw", "bw") if bidirectional else ("fw",)
     for layer in range(layers):
-        d_in = input_size if layer == 0 else hidden_size * len(dirs)
-        for dr in dirs:
-            key = f"{prefix}.l{layer}.{dr}"
+        d_in = input_size if layer == 0 else 2 * hidden_size
+        for dr in ("fw", "bw"):
+            key = f"lstm.l{layer}.{dr}"
             params[f"{key}.w_ih"] = uniform_param(rng, (4 * hidden_size, d_in), d_in, dtype)
             params[f"{key}.w_hh"] = uniform_param(
                 rng, (4 * hidden_size, hidden_size), hidden_size, dtype
@@ -396,14 +393,13 @@ def init_lstm_params(
     return params
 
 
-def lstm_seq(x, params: dict, hidden_size: int, layers: int, bidirectional: bool,
-             prefix: str = "lstm") -> Tensor:
-    """Run a stacked (bi)LSTM over x: (T, D) or (B, T, D).
+def lstm_seq(x, params: dict, hidden_size: int, layers: int) -> Tensor:
+    """Run a stacked bidirectional LSTM over x: (T, D) or (B, T, D).
 
-    Returns (T, H*dirs) or (B, T, H*dirs). Parameters are looked up by the
-    names produced by init_lstm_params.
+    Returns (T, 2H) or (B, T, 2H), forward features first. Parameters are
+    looked up by the names produced by init_lstm_params.
     """
-    x = _as_tensor(x)
+    x = as_tensor(x)
     squeeze = x.ndim == 2
     if squeeze:
         x = x.reshape((1,) + tuple(x.shape))
@@ -411,24 +407,15 @@ def lstm_seq(x, params: dict, hidden_size: int, layers: int, bidirectional: bool
         raise ValueError(f"lstm_seq expects (T,D) or (B,T,D), got {x.shape}")
     out = x
     for layer in range(layers):
-        key = f"{prefix}.l{layer}"
+        key = f"lstm.l{layer}"
         fw = lstm_cell_seq(
             out, params[f"{key}.fw.w_ih"], params[f"{key}.fw.w_hh"], params[f"{key}.fw.b"]
         )
-        if bidirectional:
-            rev = out[:, ::-1]
-            bw = lstm_cell_seq(
-                rev, params[f"{key}.bw.w_ih"], params[f"{key}.bw.w_hh"], params[f"{key}.bw.b"]
-            )
-            out = concat_feature(fw, bw[:, ::-1])
-        else:
-            out = fw
+        rev = out[:, ::-1]
+        bw = lstm_cell_seq(
+            rev, params[f"{key}.bw.w_ih"], params[f"{key}.bw.w_hh"], params[f"{key}.bw.b"]
+        )
+        out = concat([fw, bw[:, ::-1]], axis=2)
     if squeeze:
         out = out.reshape(tuple(out.shape[1:]))
     return out
-
-
-def concat_feature(a, b) -> Tensor:
-    from .tensor import concat
-
-    return concat([a, b], axis=a.ndim - 1)

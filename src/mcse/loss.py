@@ -8,19 +8,18 @@ total_loss = L_RI + L_Mag + alpha * L_MagHurts, all mean-reduced:
 
 Both operands are compressed with S * (|S| + eps)^(-1/2) before any of the
 terms are formed; ri_mag_loss and mag_hurts_loss therefore expect already
-compressed inputs, and total_loss does the compression itself. The
-magnitude's gradient is zeroed at silent bins instead of propagating
-through the square root's singular point.
+compressed inputs. total_loss does the compression itself and feeds the
+compressed magnitudes to the same term formulas, so no magnitude is
+computed twice. The magnitude's gradient is zeroed at silent bins instead
+of propagating through the square root's singular point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dsp import COMPRESS_EPS, Spectrogram
-from .tensor import Tensor, magnitude, power, relu
+from .tensor import Tensor, as_tensor, magnitude, power, relu
 
 
 @dataclass
@@ -30,14 +29,20 @@ class LossWeights:
 
 def _pair(x):
     """Accept a Spectrogram, a (re, im) pair of Tensors, or a pair of arrays."""
-    if isinstance(x, Spectrogram):
-        return Tensor(x.re), Tensor(x.im)
-    re, im = x
-    re = re if isinstance(re, Tensor) else Tensor(np.asarray(re))
-    im = im if isinstance(im, Tensor) else Tensor(np.asarray(im))
+    re, im = (x.re, x.im) if isinstance(x, Spectrogram) else x
+    re, im = as_tensor(re), as_tensor(im)
     if re.shape != im.shape:
         raise ValueError("re/im shape mismatch")
     return re, im
+
+
+def _operands(est, tgt):
+    """(est_re, est_im, tgt_re, tgt_im) tensors of matching shape."""
+    ere, eim = _pair(est)
+    tre, tim = _pair(tgt)
+    if ere.shape != tre.shape:
+        raise ValueError(f"estimate shape {ere.shape} does not match target {tre.shape}")
+    return ere, eim, tre, tim
 
 
 def compress_pair(re: Tensor, im: Tensor, eps: float = COMPRESS_EPS):
@@ -50,47 +55,39 @@ def compress_pair(re: Tensor, im: Tensor, eps: float = COMPRESS_EPS):
     return cre, cim, mag * scale
 
 
+def _ri_mag(est, tgt) -> Tensor:
+    """L_RI + L_Mag from (re, im, magnitude) triples."""
+    dre = est[0] - tgt[0]
+    dim = est[1] - tgt[1]
+    dmag = est[2] - tgt[2]
+    return (dre * dre).mean() + (dim * dim).mean() + (dmag * dmag).mean()
+
+
+def _mag_hurts(est_mag, tgt_mag) -> Tensor:
+    """L_MagHurts from the two magnitudes."""
+    gap = relu(tgt_mag - est_mag)
+    return (gap * gap).mean()
+
+
 def ri_mag_loss(est, tgt) -> Tensor:
     """Real/imag plus magnitude squared error. Both inputs must already be
     square-root compressed (total_loss applies the compression)."""
-    ere, eim = _pair(est)
-    tre, tim = _pair(tgt)
-    if ere.shape != tre.shape:
-        raise ValueError(f"estimate shape {ere.shape} does not match target {tre.shape}")
-    emag = magnitude(ere, eim)
-    tmag = magnitude(tre, tim)
-    dre = ere - tre
-    dim = eim - tim
-    dmag = emag - tmag
-    return (dre * dre).mean() + (dim * dim).mean() + (dmag * dmag).mean()
+    ere, eim, tre, tim = _operands(est, tgt)
+    return _ri_mag((ere, eim, magnitude(ere, eim)), (tre, tim, magnitude(tre, tim)))
 
 
 def mag_hurts_loss(est, tgt) -> Tensor:
     """Penalty on magnitude underestimation only; zero wherever the
     estimate's magnitude meets or exceeds the target's. Inputs already
     compressed, as in ri_mag_loss."""
-    ere, eim = _pair(est)
-    tre, tim = _pair(tgt)
-    if ere.shape != tre.shape:
-        raise ValueError(f"estimate shape {ere.shape} does not match target {tre.shape}")
-    gap = relu(magnitude(tre, tim) - magnitude(ere, eim))
-    return (gap * gap).mean()
+    ere, eim, tre, tim = _operands(est, tgt)
+    return _mag_hurts(magnitude(ere, eim), magnitude(tre, tim))
 
 
 def total_loss(est, tgt, weights: LossWeights = LossWeights()) -> Tensor:
     """Full objective on raw (uncompressed) spectra; compression applied
-    to both operands here."""
-    ere, eim = _pair(est)
-    tre, tim = _pair(tgt)
-    if ere.shape != tre.shape:
-        raise ValueError(f"estimate shape {ere.shape} does not match target {tre.shape}")
-    cer, cei, cemag = compress_pair(ere, eim)
-    ctr, cti, ctmag = compress_pair(tre, tim)
-
-    dre = cer - ctr
-    dim = cei - cti
-    dmag = cemag - ctmag
-    ri_mag = (dre * dre).mean() + (dim * dim).mean() + (dmag * dmag).mean()
-    gap = relu(ctmag - cemag)
-    hurts = (gap * gap).mean()
-    return ri_mag + weights.alpha * hurts
+    to both operands here, and its magnitudes feed both terms."""
+    ere, eim, tre, tim = _operands(est, tgt)
+    ce = compress_pair(ere, eim)
+    ct = compress_pair(tre, tim)
+    return _ri_mag(ce, ct) + weights.alpha * _mag_hurts(ce[2], ct[2])

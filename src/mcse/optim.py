@@ -22,7 +22,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    checkpoint_interval: int = 0  # 0: final checkpoint only
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_iters < 1 or self.lr_halving_interval < 1:

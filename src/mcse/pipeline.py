@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import layers as L
-from .crn import CrnConfig, CrnParams, crn_forward, init_crn_params
+from .crn import CrnConfig, CrnParams, apply_crn_mask, crn_forward, init_crn_params
 from .dsp import (
     FFT_SIZE,
     FRAME_SIZE,
@@ -34,13 +34,10 @@ from .dsp import (
     istft,
     stft,
 )
-from .tensor import Tensor, concat, no_grad
+from .tensor import as_tensor, concat, no_grad
 
 SPATIAL_HIDDEN = 64
 SPATIAL_LAYERS = 2
-
-# A Stage-I result is just a P-channel spectrogram of per-channel estimates.
-StageOneOutput = Spectrogram
 
 
 @dataclass
@@ -95,12 +92,7 @@ def init_spatial_params(p_channels: int, rng: np.random.Generator, dtype=np.floa
         "ln.gamma": L.full_param((feat,), 1.0, dtype),
         "ln.beta": L.zeros_param((feat,), dtype),
     }
-    params.update(
-        L.init_lstm_params(
-            rng, feat, SPATIAL_HIDDEN, SPATIAL_LAYERS, bidirectional=True,
-            dtype=dtype, prefix="lstm",
-        )
-    )
+    params.update(L.init_lstm_params(rng, feat, SPATIAL_HIDDEN, SPATIAL_LAYERS, dtype=dtype))
     params["fc.w"] = L.uniform_param(rng, (2, 2 * SPATIAL_HIDDEN), 2 * SPATIAL_HIDDEN, dtype)
     params["fc.b"] = L.zeros_param((2,), dtype)
     return params
@@ -117,12 +109,9 @@ def init_two_stage_model(
         raise ValueError("p_channels must be at least 1")
     rng = np.random.default_rng(seed)
     stage1_cfg = CrnConfig(
-        c_in=2 * p_channels, c_out=2 * p_channels,
-        width_scale=width_scale, freq_bins=freq_bins, decoder_mode="mask",
+        c_in=2 * p_channels, c_out=2 * p_channels, width_scale=width_scale, freq_bins=freq_bins,
     )
-    stage2_cfg = CrnConfig(
-        c_in=4, c_out=2, width_scale=width_scale, freq_bins=freq_bins, decoder_mode="map",
-    )
+    stage2_cfg = CrnConfig(c_in=4, c_out=2, width_scale=width_scale, freq_bins=freq_bins)
     return TwoStageModel(
         p_channels=p_channels,
         stage1=init_crn_params(stage1_cfg, rng, dtype),
@@ -146,28 +135,23 @@ def _check_spec(model: TwoStageModel, y: Spectrogram):
 def stage1_tensors(y_re, y_im, model: TwoStageModel, training: bool = False):
     """y_re/y_im: (P, T, F) arrays or Tensors. Returns masked-estimate
     tensors (s1_re, s1_im), each (P, T, F)."""
-    y_re = y_re if isinstance(y_re, Tensor) else Tensor(np.asarray(y_re, dtype=np.float32))
-    y_im = y_im if isinstance(y_im, Tensor) else Tensor(np.asarray(y_im, dtype=np.float32))
-    feat = concat([y_re, y_im], axis=0)
-    m_re, m_im = crn_forward(feat, model.stage1, training=training)
-    s_re = m_re * y_re - m_im * y_im
-    s_im = m_re * y_im + m_im * y_re
-    return s_re, s_im
+    return apply_crn_mask(y_re, y_im, model.stage1, training)
 
 
 def spatial_tensors(s1_re, s1_im, model: TwoStageModel):
-    """First-stage estimates (P, T, F) -> single-channel filtered (T, F) pair.
+    """First-stage estimates (P, T, F), arrays or Tensors -> single-channel
+    filtered (T, F) pair.
 
     Bands are stacked on the batch axis of the shared LSTM, so permuting
     input bands permutes output bands identically.
     """
     p = model.spatial
     # (P, T, F) -> (F, T, P), then features (F, T, 2P), reals first
-    xr = s1_re.transpose(2, 1, 0)
-    xi = s1_im.transpose(2, 1, 0)
+    xr = as_tensor(s1_re, np.float32).transpose(2, 1, 0)
+    xi = as_tensor(s1_im, np.float32).transpose(2, 1, 0)
     x = concat([xr, xi], axis=2)
     x = L.layernorm(x, p["ln.gamma"], p["ln.beta"])
-    h = L.lstm_seq(x, p, SPATIAL_HIDDEN, SPATIAL_LAYERS, bidirectional=True)
+    h = L.lstm_seq(x, p, SPATIAL_HIDDEN, SPATIAL_LAYERS)
     out = L.linear(h, p["fc.w"], p["fc.b"])  # (F, T, 2)
     f_re = out[:, :, 0].transpose(1, 0)
     f_im = out[:, :, 1].transpose(1, 0)
@@ -175,15 +159,14 @@ def spatial_tensors(s1_re, s1_im, model: TwoStageModel):
 
 
 def stage2_tensors(f_re, f_im, y0_re, y0_im, model: TwoStageModel, training: bool = False):
-    """Spatial-filter output (T, F) plus mixture reference channel (T, F) ->
-    final estimate tensors (T, F) pair."""
-    y0_re = y0_re if isinstance(y0_re, Tensor) else Tensor(np.asarray(y0_re, dtype=np.float32))
-    y0_im = y0_im if isinstance(y0_im, Tensor) else Tensor(np.asarray(y0_im, dtype=np.float32))
+    """Spatial-filter output (T, F) plus mixture reference channel (T, F),
+    arrays or Tensors -> final estimate tensors (T, F) pair."""
+    y0_re, y0_im = as_tensor(y0_re, np.float32), as_tensor(y0_im, np.float32)
     t_len, f_bins = f_re.shape
     stackable = [
-        f_re.reshape(1, t_len, f_bins),
+        as_tensor(f_re, np.float32).reshape(1, t_len, f_bins),
         y0_re.reshape(1, t_len, f_bins),
-        f_im.reshape(1, t_len, f_bins),
+        as_tensor(f_im, np.float32).reshape(1, t_len, f_bins),
         y0_im.reshape(1, t_len, f_bins),
     ]
     feat = concat(stackable, axis=0)  # reals first, then imaginaries
@@ -192,17 +175,16 @@ def stage2_tensors(f_re, f_im, y0_re, y0_im, model: TwoStageModel, training: boo
 
 
 def two_stage_tensors(y_re, y_im, model: TwoStageModel, training: bool = False):
+    y_re, y_im = as_tensor(y_re, np.float32), as_tensor(y_im, np.float32)
     s_re, s_im = stage1_tensors(y_re, y_im, model, training)
     f_re, f_im = spatial_tensors(s_re, s_im, model)
-    y0_re = np.asarray(y_re if not isinstance(y_re, Tensor) else y_re.data)[0]
-    y0_im = np.asarray(y_im if not isinstance(y_im, Tensor) else y_im.data)[0]
-    return stage2_tensors(f_re, f_im, y0_re, y0_im, model, training)
+    return stage2_tensors(f_re, f_im, y_re.data[0], y_im.data[0], model, training)
 
 
 # -- spectrogram-level public API ---------------------------------------------------
 
 
-def stage1_mimo(y: Spectrogram, model: TwoStageModel) -> StageOneOutput:
+def stage1_mimo(y: Spectrogram, model: TwoStageModel) -> Spectrogram:
     """Per-channel first-stage estimates of the clean reverberant image."""
     _check_spec(model, y)
     with no_grad():
@@ -210,15 +192,11 @@ def stage1_mimo(y: Spectrogram, model: TwoStageModel) -> StageOneOutput:
     return y.like(s_re.data.astype(np.float64), s_im.data.astype(np.float64))
 
 
-def spatial_filter(s1: StageOneOutput, model: TwoStageModel) -> Spectrogram:
+def spatial_filter(s1: Spectrogram, model: TwoStageModel) -> Spectrogram:
     """Collapse P first-stage channels to one with the band-shared filter."""
     _check_spec(model, s1)
     with no_grad():
-        f_re, f_im = spatial_tensors(
-            Tensor(np.asarray(s1.re, dtype=np.float32)),
-            Tensor(np.asarray(s1.im, dtype=np.float32)),
-            model,
-        )
+        f_re, f_im = spatial_tensors(s1.re, s1.im, model)
     return s1.like(f_re.data[None].astype(np.float64), f_im.data[None].astype(np.float64))
 
 
@@ -231,9 +209,7 @@ def stage2_miso(filtered: Spectrogram, y_ref: Spectrogram, model: TwoStageModel)
         raise ValueError("filtered/reference shape mismatch")
     with no_grad():
         e_re, e_im = stage2_tensors(
-            Tensor(np.asarray(filtered.re[0], dtype=np.float32)),
-            Tensor(np.asarray(filtered.im[0], dtype=np.float32)),
-            y_ref.re[0], y_ref.im[0], model, training=False,
+            filtered.re[0], filtered.im[0], y_ref.re[0], y_ref.im[0], model, training=False
         )
     return filtered.like(e_re.data[None].astype(np.float64), e_im.data[None].astype(np.float64))
 

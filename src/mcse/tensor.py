@@ -74,16 +74,14 @@ class Tensor:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
     # -- graph machinery -----------------------------------------------------
 
-    def backward(self, free_graph: bool = True):
-        """Backpropagate from this tensor. Only scalar roots are allowed."""
+    def backward(self):
+        """Backpropagate from this tensor. Only scalar roots are allowed.
+        The graph is freed as it is walked."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward() requires a scalar tensor, got shape {self.data.shape}"
@@ -94,9 +92,8 @@ class Tensor:
             fn = node._backward
             if fn is not None and node.grad is not None:
                 fn(node.grad)
-            if free_graph:
-                node._backward = None
-                node._parents = ()
+            node._backward = None
+            node._parents = ()
 
     # -- operator sugar --------------------------------------------------------
 
@@ -110,7 +107,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -143,8 +140,12 @@ class Tensor:
         return tmean(self, axis)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x, dtype=None) -> Tensor:
+    """x itself if it is a Tensor, else a constant Tensor of x, cast to
+    dtype when one is given."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(x if dtype is None else np.asarray(x, dtype=dtype))
 
 
 def _topo_order(root: Tensor):
@@ -204,7 +205,7 @@ def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -215,7 +216,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out_data = a.data - b.data
 
     def backward(g):
@@ -226,7 +227,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
 
     def backward(g):
@@ -238,7 +239,7 @@ def mul(a, b) -> Tensor:
 
 def power(a, p: float) -> Tensor:
     """Elementwise a**p for a python scalar exponent."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     p = float(p)
     out_data = a.data**p
 
@@ -249,7 +250,7 @@ def power(a, p: float) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
@@ -261,7 +262,7 @@ def relu(a) -> Tensor:
 def magnitude(re, im, eps: float = 1e-12) -> Tensor:
     """sqrt(re^2 + im^2) with the gradient zeroed where the magnitude
     is below eps (the singular point of the square root)."""
-    re, im = _as_tensor(re), _as_tensor(im)
+    re, im = as_tensor(re), as_tensor(im)
     m = np.sqrt(re.data * re.data + im.data * im.data)
 
     def backward(g):
@@ -277,7 +278,7 @@ def magnitude(re, im, eps: float = 1e-12) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out_data = np.matmul(a.data, b.data)
 
     def backward(g):
@@ -293,7 +294,7 @@ def matmul(a, b) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out_data = a.data.reshape(shape)
 
     def backward(g):
@@ -303,7 +304,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes=None) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out_data = np.transpose(a.data, axes)
     if axes is None:
         inv = None
@@ -319,7 +320,7 @@ def transpose(a, axes=None) -> Tensor:
 def take(a, key) -> Tensor:
     """Basic slicing. Every selected element must be selected at most once
     (true for all basic slices), so the backward scatter is an assignment."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out_data = a.data[key]
 
     def backward(g):
@@ -331,7 +332,7 @@ def take(a, key) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -349,7 +350,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def tsum(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out_data = a.data.sum(axis=axis)
 
     def backward(g):
@@ -362,7 +363,7 @@ def tsum(a, axis=None) -> Tensor:
 
 
 def tmean(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out_data = a.data.mean(axis=axis)
     denom = a.data.size if axis is None else a.data.shape[axis]
 

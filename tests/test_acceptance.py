@@ -12,6 +12,7 @@ single simulated utterance and is the slow test of the whole suite
 
 import sys
 import time
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -56,8 +57,7 @@ def band_limited(channels: int, length: int, keep: float = 0.6, seed: int = 0):
 
 def test_c1_full_width_shapes_and_parameter_count():
     t0 = time.time()
-    cfg = CrnConfig(c_in=16, c_out=16, width_scale=Fraction(1), freq_bins=256,
-                    decoder_mode="mask")
+    cfg = CrnConfig(c_in=16, c_out=16, width_scale=Fraction(1), freq_bins=256)
     params = init_crn_params(cfg, np.random.default_rng(0))
     total = sum(t.data.size for t in params.params.values())
     assert total == 14_235_520
@@ -140,13 +140,18 @@ def test_c2_finite_difference_gradients():
         picks.append(next(k for k in params if k == pattern))
     picks.append(next(k for k in params if "dec" in k and k.endswith(".w")))
 
-    step = 1e-5
+    # A step of 1e-5 can straddle a PReLU kink or the magnitude-hurts ReLU
+    # kink and disagree with the exact one-sided gradient; 1e-6 clears them
+    # at every coordinate checked here. Coordinates are seeded by crc32
+    # because str hash() is salted per process.
+    step = 1e-6
     checked = 0
+    worst = 0.0
     for name in picks:
         p = params[name]
         flat = p.data.reshape(-1)
         gflat = p.grad.reshape(-1)
-        for idx in np.random.default_rng(hash(name) % 2**32).integers(0, flat.size, 3):
+        for idx in np.random.default_rng(zlib.crc32(name.encode())).integers(0, flat.size, 3):
             keep = flat[idx]
             flat[idx] = keep + step
             hi = loss_value().item()
@@ -157,11 +162,13 @@ def test_c2_finite_difference_gradients():
             ana = float(gflat[idx])
             assert abs(ana - num) <= 1e-3 * max(abs(ana), abs(num)) + 1e-8, \
                 f"{name}[{idx}]: analytic {ana:.3e} vs numeric {num:.3e}"
+            worst = max(worst, abs(ana - num) / max(abs(ana), abs(num), 1e-12))
             checked += 1
     dt = time.time() - t0
     assert dt < 300.0
     note(f"[PASS] criterion 2: finite differences match analytic gradients, "
-         f"single ops at rel 1e-4 and {checked} composed coordinates at rel 1e-3 ({dt:.1f}s)")
+         f"single ops at rel 1e-4 and {checked} composed coordinates at rel 1e-3, "
+         f"worst rel {worst:.1e} ({dt:.1f}s)")
 
 
 def test_c3_stft_round_trip():

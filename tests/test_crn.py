@@ -17,8 +17,8 @@ from mcse.crn import BASE_CHANNELS, CrnConfig, crn_forward, init_crn_params
 rng = np.random.default_rng(3)
 
 
-def make(c_in=4, c_out=4, width=Fraction(1, 16), bins=64, mode="mask", dual=True, seed=0):
-    cfg = CrnConfig(c_in, c_out, width, bins, mode, dual)
+def make(c_in=4, c_out=4, width=Fraction(1, 16), bins=64, seed=0):
+    cfg = CrnConfig(c_in, c_out, width, bins)
     return cfg, init_crn_params(cfg, np.random.default_rng(seed))
 
 
@@ -49,10 +49,6 @@ class TestConfig:
     def test_rejects_fractional_channels(self):
         with pytest.raises(ValueError):
             CrnConfig(4, 4, Fraction(1, 32), 256)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            CrnConfig(4, 4, 1, 256, decoder_mode="identity")
 
 
 class TestFullWidthLadder:
@@ -111,7 +107,8 @@ class TestForward:
         assert im.shape == (2, 7, 64)
 
     def test_single_decoder_splits_output(self):
-        cfg, params = make(c_in=2, c_out=2, dual=False)
+        """c_out = 2 leaves each decoder branch a single output channel."""
+        cfg, params = make(c_in=2, c_out=2)
         re, im = crn_forward(rng.standard_normal((2, 5, 64)), params)
         assert re.shape == (1, 5, 64)
         assert im.shape == (1, 5, 64)

@@ -10,12 +10,8 @@ import numpy as np
 import pytest
 
 from mcse.dsp import (
-    COMPRESS_EPS,
-    ComplexMask,
     Spectrogram,
     TimeSignal,
-    apply_mask,
-    compress_sqrt,
     frame_count,
     hann_window,
     istft,
@@ -149,46 +145,6 @@ class TestRoundTrip:
         s = stft(x)
         assert istft(s, length=1000).length == 1000
         assert istft(s, length=9000).length == 9000
-
-
-class TestMasking:
-    def test_apply_mask_is_complex_multiplication(self):
-        re, im = rng.standard_normal((2, 3, 256)), rng.standard_normal((2, 3, 256))
-        mre, mim = rng.standard_normal((2, 3, 256)), rng.standard_normal((2, 3, 256))
-        y = Spectrogram(re, im, 512, 64, 512, 16000)
-        out = apply_mask(y, ComplexMask(mre, mim))
-        want = y.to_complex() * (mre + 1j * mim)
-        np.testing.assert_allclose(out.to_complex(), want, rtol=1e-12)
-
-    def test_exact_ratio_mask_recovers_target(self):
-        y = rng.standard_normal((1, 4, 256)) + 1j * rng.standard_normal((1, 4, 256))
-        s = rng.standard_normal((1, 4, 256)) + 1j * rng.standard_normal((1, 4, 256))
-        m = s / y
-        got = apply_mask(
-            Spectrogram.from_complex(y, 512, 64, 512, 16000),
-            ComplexMask(m.real, m.imag),
-        )
-        np.testing.assert_allclose(got.to_complex(), s, rtol=0, atol=1e-5)
-
-
-class TestCompression:
-    def test_magnitude_becomes_square_root(self):
-        z = 10.0 * (rng.standard_normal((1, 5, 256)) + 1j * rng.standard_normal((1, 5, 256)))
-        s = Spectrogram.from_complex(z, 512, 64, 512, 16000)
-        c = compress_sqrt(s)
-        np.testing.assert_allclose(c.magnitude(), np.sqrt(np.abs(z)), rtol=1e-6)
-
-    def test_phase_preserved(self):
-        z = rng.standard_normal((1, 3, 256)) + 1j * rng.standard_normal((1, 3, 256))
-        s = Spectrogram.from_complex(z, 512, 64, 512, 16000)
-        c = compress_sqrt(s).to_complex()
-        np.testing.assert_allclose(np.angle(c), np.angle(z), atol=1e-9)
-
-    def test_zero_bins_stay_finite(self):
-        s = Spectrogram(np.zeros((1, 2, 256)), np.zeros((1, 2, 256)), 512, 64, 512, 16000)
-        c = compress_sqrt(s)
-        assert np.all(np.isfinite(c.re)) and np.all(c.re == 0.0)
-        assert COMPRESS_EPS > 0
 
 
 class TestFractionalShift:

@@ -5,7 +5,9 @@ defining formulas. Training-loop tests run a deliberately tiny model
 (2 channels, width 1/16) so the whole module stays in the seconds range.
 """
 
+import json
 import logging
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import mcse.baselines as B
-from mcse.checkpoint import load_checkpoint, save_checkpoint
+from mcse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mcse.cli import main
 from mcse.config import ConfigError, load_config, parse_config_text
 from mcse.dsp import TimeSignal, stft
@@ -136,6 +138,9 @@ class TestConfigParsing:
     def test_unknown_key_names_location(self):
         with pytest.raises(ConfigError, match=r"custom\.cfg:2.*learning_rate"):
             parse_config_text("batch_size = 4\nlearning_rate = 1", source="custom.cfg")
+        # accepted once but never acted on; now refused like any other typo
+        with pytest.raises(ConfigError, match="checkpoint_interval"):
+            parse_config_text("checkpoint_interval = 5")
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="batch_size"):
@@ -204,6 +209,37 @@ class TestCheckpoint:
         assert set(src) == set(dst)
         for name in src:
             np.testing.assert_array_equal(src[name].data, dst[name].data)
+
+    def test_version1_legacy_crn_descriptors(self, tmp_path):
+        """Version-1 files that still carry decoder_mode and dual_decoder in
+        each CRN descriptor load bit-exact; dual_decoder false is refused."""
+        model = tiny_model(seed=4)
+        for b in model.named_buffers().values():
+            b += np.random.default_rng(2).standard_normal(b.shape).astype(b.dtype) * 0.1
+        path = tmp_path / "legacy.bin"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        start = len(MAGIC) + 4  # magic, then the version word
+        (hlen,) = struct.unpack("<I", raw[start:start + 4])
+        header = json.loads(raw[start + 4:start + 4 + hlen])
+        tensors = raw[start + 4 + hlen:]
+
+        def write_legacy(dual):
+            header["stage1"].update(decoder_mode="mask", dual_decoder=dual)
+            header["stage2"].update(decoder_mode="map", dual_decoder=dual)
+            hdr = json.dumps(header, sort_keys=True).encode()
+            path.write_bytes(raw[:start] + struct.pack("<I", len(hdr)) + hdr + tensors)
+
+        write_legacy(True)
+        loaded, _, _ = load_checkpoint(path)
+        for name, t in model.named_params().items():
+            np.testing.assert_array_equal(t.data, loaded.named_params()[name].data)
+        for name, buf in model.named_buffers().items():
+            np.testing.assert_array_equal(buf, loaded.named_buffers()[name])
+
+        write_legacy(False)
+        with pytest.raises(ValueError, match="dual_decoder"):
+            load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         p = tmp_path / "junk.bin"

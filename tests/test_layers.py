@@ -281,9 +281,9 @@ class TestLstm:
         )
 
     def test_bidirectional_is_concat_of_reversed_runs(self):
-        params = L.init_lstm_params(rng, 4, 3, layers=1, bidirectional=True, dtype=np.float64)
+        params = L.init_lstm_params(rng, 4, 3, layers=1, dtype=np.float64)
         x = r(2, 5, 4)
-        out = L.lstm_seq(x, params, hidden_size=3, layers=1, bidirectional=True).data
+        out = L.lstm_seq(x, params, hidden_size=3, layers=1).data
 
         fw = L.lstm_cell_seq(x, params["lstm.l0.fw.w_ih"], params["lstm.l0.fw.w_hh"],
                              params["lstm.l0.fw.b"]).data
@@ -292,23 +292,23 @@ class TestLstm:
         np.testing.assert_allclose(out, np.concatenate([fw, bw], axis=-1), rtol=1e-10)
 
     def test_stacked_shapes(self):
-        params = L.init_lstm_params(rng, 6, 4, layers=2, bidirectional=True, dtype=np.float64)
-        out = L.lstm_seq(r(3, 7, 6), params, hidden_size=4, layers=2, bidirectional=True)
+        params = L.init_lstm_params(rng, 6, 4, layers=2, dtype=np.float64)
+        out = L.lstm_seq(r(3, 7, 6), params, hidden_size=4, layers=2)
         assert out.shape == (3, 7, 8)
 
     def test_unbatched_input_round_trips(self):
-        params = L.init_lstm_params(rng, 5, 2, layers=1, bidirectional=False, dtype=np.float64)
-        out = L.lstm_seq(r(9, 5), params, hidden_size=2, layers=1, bidirectional=False)
-        assert out.shape == (9, 2)
+        params = L.init_lstm_params(rng, 5, 2, layers=1, dtype=np.float64)
+        out = L.lstm_seq(r(9, 5), params, hidden_size=2, layers=1)
+        assert out.shape == (9, 4)
 
     def test_grad_through_bidirectional_stack(self):
-        params = L.init_lstm_params(rng, 3, 2, layers=2, bidirectional=True, dtype=np.float64)
+        params = L.init_lstm_params(rng, 3, 2, layers=2, dtype=np.float64)
         names = sorted(params)
         x = r(1, 3, 3)
 
         def loss(xx, *ps):
             pdict = dict(zip(names, ps))
-            return (L.lstm_seq(xx, pdict, hidden_size=2, layers=2, bidirectional=True) ** 2).sum()
+            return (L.lstm_seq(xx, pdict, hidden_size=2, layers=2) ** 2).sum()
 
         check_grads(loss, [x] + [params[n].data for n in names], rtol=1e-3)
 
@@ -329,7 +329,7 @@ class TestInit:
         assert np.all(L.full_param((3,), 0.25).data == 0.25)
 
     def test_lstm_param_shapes(self):
-        p = L.init_lstm_params(np.random.default_rng(0), 10, 4, layers=2, bidirectional=True)
+        p = L.init_lstm_params(np.random.default_rng(0), 10, 4, layers=2)
         assert p["lstm.l0.fw.w_ih"].shape == (16, 10)
         assert p["lstm.l1.fw.w_ih"].shape == (16, 8)  # layer 1 sees both directions
         assert p["lstm.l1.bw.w_hh"].shape == (16, 4)
