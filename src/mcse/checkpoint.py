@@ -44,18 +44,36 @@ def _write_tensors(fh, tensors: dict):
         fh.write(data.tobytes())
 
 
+def _read(fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"checkpoint is truncated: {what} needs {n} bytes, found {len(data)}")
+    return data
+
+
 def _read_tensors(fh) -> dict:
-    (count,) = struct.unpack("<I", fh.read(4))
+    (count,) = struct.unpack("<I", _read(fh, 4, "tensor count"))
     out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", fh.read(2))
-        name = fh.read(nlen).decode()
-        (rank,) = struct.unpack("<B", fh.read(1))
-        shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
+    for k in range(count):
+        where = f"name of tensor {k}"
+        (nlen,) = struct.unpack("<H", _read(fh, 2, where))
+        name = _read(fh, nlen, where).decode()
+        where = f"tensor {name!r}"
+        (rank,) = struct.unpack("<B", _read(fh, 1, where))
+        shape = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, where))
         n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(fh.read(4 * n), dtype="<f4").reshape(shape).copy()
-        out[name] = data
+        out[name] = np.frombuffer(_read(fh, 4 * n, where), dtype="<f4").reshape(shape).copy()
     return out
+
+
+class _NoDraws:
+    """Stands in for the init generator when load_checkpoint only needs the
+    model layout: each weight comes back unwritten, with no random draws,
+    and is replaced by the stored tensor."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size, dtype=np.float32)
 
 
 def _crn_descriptor(cfg: CrnConfig) -> dict:
@@ -159,18 +177,17 @@ def load_checkpoint(path):
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path} is not a checkpoint (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4, "version"))
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
+        (hlen,) = struct.unpack("<I", _read(fh, 4, "header length"))
+        header = json.loads(_read(fh, hlen, "header").decode())
         tensors = _read_tensors(fh)
 
     kind = header.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unsupported model kind {kind!r}")
-    rng = np.random.default_rng(0)  # layout source only; data is overwritten below
-    model = KINDS[kind][2](header, rng)
+    model = KINDS[kind][2](header, _NoDraws())
 
     params = model.named_params()
     for name, t in params.items():

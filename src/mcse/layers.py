@@ -24,7 +24,7 @@ def _pair(v):
 def uniform_param(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
     """Weight init: uniform in +-sqrt(1/fan_in)."""
     bound = float(np.sqrt(1.0 / fan_in))
-    data = rng.uniform(-bound, bound, size=shape).astype(dtype)
+    data = rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
     return Tensor(data, requires_grad=True)
 
 
@@ -275,13 +275,25 @@ def linear(x, w, b=None) -> Tensor:
 # -- LSTM --------------------------------------------------------------------------
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _gate_constants(h_size: int, dtype):
+    """Per-column (scale, shift) for _activate_gates over a (..., 4H) row
+    in gate order i, f, g, o: (1/2, 1/2, 1, 1/2) and (1/2, 1/2, 0, 1/2)."""
+    scale = np.full(4 * h_size, 0.5, dtype=dtype)
+    scale[2 * h_size : 3 * h_size] = 1.0
+    shift = scale.copy()
+    shift[2 * h_size : 3 * h_size] = 0.0
+    return scale, shift
+
+
+def _activate_gates(z, scale, shift):
+    """Gate activations in place, with one tanh over the whole row:
+    sigmoid(z) = 1/2 + tanh(z/2)/2 on the i, f and o blocks, tanh on g.
+    Finite and in range for any input, infinities included."""
+    z *= scale
+    np.tanh(z, out=z)
+    z *= scale
+    z += shift
+    return z
 
 
 def lstm_cell_seq(x, w_ih, w_hh, b) -> Tensor:
@@ -289,7 +301,12 @@ def lstm_cell_seq(x, w_ih, w_hh, b) -> Tensor:
 
     x: (B, T, D); w_ih: (4H, D); w_hh: (4H, H); b: (4H,). Gate order i, f,
     g, o. Initial hidden and cell state are zero. Returns (B, T, H).
-    The full BPTT backward is written out by hand.
+
+    Each step activates its (B, 4H) gate row in place with one tanh, using
+    sigmoid(z) = 1/2 + tanh(z/2)/2 for i, f and o (_activate_gates). The
+    gate, cell, tanh(cell) and hidden buffers are time-major, (T, B, .), so
+    every step reads and writes contiguous slabs. The full BPTT backward is
+    written out by hand.
     """
     x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
     if x.ndim != 3:
@@ -303,71 +320,56 @@ def lstm_cell_seq(x, w_ih, w_hh, b) -> Tensor:
     if x.shape[-1] != d_in:
         raise ValueError(f"lstm input width {x.shape[-1]} does not match w_ih {w_ih.shape}")
     bsz, t_len, _ = x.shape
+    dtype = x.data.dtype
+    sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
+    sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
 
-    pre = np.matmul(x.data, w_ih.data.T) + b.data
-    gates = np.empty((bsz, t_len, four_h), dtype=x.data.dtype)
-    cells = np.empty((bsz, t_len, h_size), dtype=x.data.dtype)
+    # input projection for every step at once, straight into the gate buffer
+    x_tm = x.data.transpose(1, 0, 2).reshape(t_len * bsz, d_in)
+    gates = np.matmul(x_tm, w_ih.data.T).reshape(t_len, bsz, four_h)
+    gates += b.data
+    del x_tm
+    w_hh_t = np.ascontiguousarray(w_hh.data.T)
+    scale, shift = _gate_constants(h_size, dtype)
+    cells = np.empty((t_len, bsz, h_size), dtype=dtype)
     tanh_c = np.empty_like(cells)
     hs = np.empty_like(cells)
-    h = np.zeros((bsz, h_size), dtype=x.data.dtype)
-    c = np.zeros((bsz, h_size), dtype=x.data.dtype)
+    rec = np.empty((bsz, four_h), dtype=dtype)
     for t in range(t_len):
-        z = pre[:, t] + h @ w_hh.data.T
-        i = _sigmoid(z[:, :h_size])
-        f = _sigmoid(z[:, h_size : 2 * h_size])
-        g_ = np.tanh(z[:, 2 * h_size : 3 * h_size])
-        o = _sigmoid(z[:, 3 * h_size :])
-        c = f * c + i * g_
-        tc = np.tanh(c)
-        h = o * tc
-        gates[:, t, :h_size] = i
-        gates[:, t, h_size : 2 * h_size] = f
-        gates[:, t, 2 * h_size : 3 * h_size] = g_
-        gates[:, t, 3 * h_size :] = o
-        cells[:, t] = c
-        tanh_c[:, t] = tc
-        hs[:, t] = h
-    out = hs.copy()
+        z = gates[t]
+        if t > 0:
+            np.matmul(hs[t - 1], w_hh_t, out=rec)
+            z += rec
+        _activate_gates(z, scale, shift)
+        np.multiply(z[:, sl_i], z[:, sl_g], out=cells[t])
+        if t > 0:
+            cells[t] += z[:, sl_f] * cells[t - 1]
+        np.tanh(cells[t], out=tanh_c[t])
+        np.multiply(z[:, sl_o], tanh_c[t], out=hs[t])
+    out = np.ascontiguousarray(hs.transpose(1, 0, 2))
 
     def backward(grad_out):
-        dz_all = np.empty((bsz, t_len, four_h), dtype=grad_out.dtype)
+        g_tm = grad_out.transpose(1, 0, 2)
+        dz_all = np.empty((t_len, bsz, four_h), dtype=grad_out.dtype)
         dh_next = np.zeros((bsz, h_size), dtype=grad_out.dtype)
-        dc_next = np.zeros((bsz, h_size), dtype=grad_out.dtype)
-        dw_hh = np.zeros_like(w_hh.data)
+        dc_next = np.zeros_like(dh_next)
         for t in range(t_len - 1, -1, -1):
-            i = gates[:, t, :h_size]
-            f = gates[:, t, h_size : 2 * h_size]
-            g_ = gates[:, t, 2 * h_size : 3 * h_size]
-            o = gates[:, t, 3 * h_size :]
-            tc = tanh_c[:, t]
-            c_prev = cells[:, t - 1] if t > 0 else np.zeros_like(dc_next)
-            h_prev = hs[:, t - 1] if t > 0 else np.zeros_like(dh_next)
-
-            dh = grad_out[:, t] + dh_next
-            do = dh * tc
+            z, tc, dz = gates[t], tanh_c[t], dz_all[t]
+            i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
+            dh = g_tm[t] + dh_next
             dc = dc_next + dh * o * (1.0 - tc * tc)
-            di = dc * g_
-            df = dc * c_prev
-            dg = dc * i
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g_ * g_),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dz_all[:, t] = dz
-            dw_hh += dz.T @ h_prev
+            dz[:, sl_i] = dc * g_ * i * (1.0 - i)
+            dz[:, sl_f] = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
+            dz[:, sl_g] = dc * i * (1.0 - g_ * g_)
+            dz[:, sl_o] = dh * tc * o * (1.0 - o)
             dh_next = dz @ w_hh.data
             dc_next = dc * f
-        _accum(w_hh, dw_hh)
-        _accum(b, dz_all.sum(axis=(0, 1)))
-        g2 = dz_all.reshape(-1, four_h)
-        x2 = x.data.reshape(-1, d_in)
-        _accum(w_ih, g2.T @ x2)
-        _accum(x, np.matmul(dz_all, w_ih.data))
+        dz2 = dz_all.reshape(t_len * bsz, four_h)
+        # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
+        _accum(w_hh, dz2[bsz:].T @ hs[:-1].reshape(-1, h_size))
+        _accum(b, dz2.sum(axis=0))
+        _accum(w_ih, dz2.T @ x.data.transpose(1, 0, 2).reshape(t_len * bsz, d_in))
+        _accum(x, np.matmul(dz_all, w_ih.data).transpose(1, 0, 2))
 
     return make_node(out, (x, w_ih, w_hh, b), backward)
 

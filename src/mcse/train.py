@@ -26,7 +26,7 @@ from .pipeline import (
     stage2_tensors,
 )
 from .simkit import read_manifest
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, as_tensor, no_grad
 from .wavio import read_wav
 
 log = logging.getLogger(__name__)
@@ -63,15 +63,12 @@ def load_training_set(manifest_path, settings) -> list:
     return out
 
 
-def _f32(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.float32)
-
-
 def _utterance_loss(utt: Utterance, model: TwoStageModel, stage: str,
                     cache: dict | None = None) -> Tensor:
+    mix = utt.mix
     if stage == "stage1":
-        est = stage1_tensors(_f32(utt.mix.re), _f32(utt.mix.im), model, training=True)
-        tgt = (_f32(utt.revclean.re), _f32(utt.revclean.im))
+        est = stage1_tensors(mix.re, mix.im, model, training=True)
+        tgt = (as_tensor(utt.revclean.re, np.float32), as_tensor(utt.revclean.im, np.float32))
         return total_loss(est, tgt)
 
     if stage == "stage2":
@@ -80,27 +77,18 @@ def _utterance_loss(utt: Utterance, model: TwoStageModel, stage: str,
             s_re, s_im = cache[utt.uid]
         else:
             with no_grad():
-                s1 = stage1_tensors(_f32(utt.mix.re), _f32(utt.mix.im), model, training=False)
+                s1 = stage1_tensors(mix.re, mix.im, model, training=False)
             s_re, s_im = s1[0].data, s1[1].data
             if cache is not None:
                 cache[utt.uid] = (s_re, s_im)
-        f_re, f_im = spatial_tensors(Tensor(s_re), Tensor(s_im), model)
-        est = stage2_tensors(
-            f_re, f_im, _f32(utt.mix.re[0]), _f32(utt.mix.im[0]), model, training=True
-        )
-        tgt = (_f32(utt.dry.re[0]), _f32(utt.dry.im[0]))
-        return total_loss(est, tgt)
-
-    if stage == "joint":
-        s_re, s_im = stage1_tensors(_f32(utt.mix.re), _f32(utt.mix.im), model, training=True)
-        f_re, f_im = spatial_tensors(s_re, s_im, model)
-        est = stage2_tensors(
-            f_re, f_im, _f32(utt.mix.re[0]), _f32(utt.mix.im[0]), model, training=True
-        )
-        tgt = (_f32(utt.dry.re[0]), _f32(utt.dry.im[0]))
-        return total_loss(est, tgt)
-
-    raise ValueError(f"unknown stage {stage!r}")
+    elif stage == "joint":
+        s_re, s_im = stage1_tensors(mix.re, mix.im, model, training=True)
+    else:
+        raise ValueError(f"unknown stage {stage!r}")
+    f_re, f_im = spatial_tensors(s_re, s_im, model)
+    est = stage2_tensors(f_re, f_im, mix.re[0], mix.im[0], model, training=True)
+    tgt = (as_tensor(utt.dry.re[0], np.float32), as_tensor(utt.dry.im[0], np.float32))
+    return total_loss(est, tgt)
 
 
 def train(

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mcse.baselines as B
 from mcse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -246,6 +248,37 @@ class TestCheckpoint:
         p.write_bytes(b"definitely not a checkpoint")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "fs.bin"
+    save_checkpoint(path, B.init_filter_sum_model(1, width_scale=Fraction(1, 16),
+                                                  freq_bins=64, seed=5))
+    return path.read_bytes(), path.with_name("cut.bin")
+
+
+class TestTruncatedCheckpoint:
+    @settings(max_examples=60, deadline=None)
+    @given(frac=st.floats(0.0, 1.0, exclude_max=True))
+    @example(frac=0.0)
+    @example(frac=2.2e-4)  # inside the version word
+    @example(frac=3.1e-4)  # inside the header length
+    @example(frac=2e-3)  # inside the JSON header
+    def test_any_cut_raises_value_error(self, small_checkpoint, frac):
+        raw, path = small_checkpoint
+        cut = int(frac * len(raw))
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        if cut >= len(MAGIC):
+            assert "checkpoint is truncated" in str(err.value)
+
+    def test_message_names_the_tensor(self, small_checkpoint):
+        raw, path = small_checkpoint
+        path.write_bytes(raw[:-3])
+        with pytest.raises(ValueError, match=r"truncated: tensor 'buffer\.crn\..*' needs 4 bytes"):
+            load_checkpoint(path)
 
 
 class TestTrainLoop:

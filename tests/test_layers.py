@@ -5,6 +5,8 @@ a step-at-a-time numpy reimplementation, and every layer's backward
 against central finite differences.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,44 @@ class TestLstm:
             return (L.lstm_seq(xx, pdict, hidden_size=2, layers=2) ** 2).sum()
 
         check_grads(loss, [x] + [params[n].data for n in names], rtol=1e-3)
+
+
+class TestGateActivation:
+    EDGES = [-np.inf, -1e4, -100.0, -20.0, -3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 3.0, 20.0, 100.0,
+             1e4, np.inf]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_sigmoid_and_tanh_everywhere(self, dtype):
+        vals = np.concatenate([self.EDGES, 8.0 * rng.standard_normal(49)])
+        h = vals.size
+        z = np.tile(vals, (2, 4)).astype(dtype)  # every value in every gate block
+        scale, shift = L._gate_constants(h, dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = L._activate_gates(z.copy(), scale, shift)
+        assert out.dtype == dtype and np.all(np.isfinite(out))
+        z64 = z.astype(np.float64)
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-z64))
+        eps = np.finfo(dtype).eps  # 2**-23 in float32
+        for blk in (0, 1, 3):  # i, f, o
+            got = out[:, blk * h : (blk + 1) * h]
+            assert np.all((got >= 0.0) & (got <= 1.0))
+            np.testing.assert_allclose(got, sig[:, blk * h : (blk + 1) * h], rtol=0, atol=eps)
+        np.testing.assert_allclose(out[:, 2 * h : 3 * h], np.tanh(z64[:, 2 * h : 3 * h]),
+                                   rtol=0, atol=eps)
+
+    def test_float32_lstm_saturates_without_overflow(self):
+        b_, t_, d_, h_ = 3, 6, 4, 5
+        x = Tensor((1e3 * r(b_, t_, d_)).astype(np.float32), requires_grad=True)
+        ps = [Tensor(r(*s).astype(np.float32), requires_grad=True)
+              for s in ((4 * h_, d_), (4 * h_, h_), (4 * h_,))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = L.lstm_cell_seq(x, *ps)
+            (out * out).sum().backward()
+        assert np.all(np.isfinite(out.data)) and np.all(np.abs(out.data) <= 1.0)
+        assert all(np.all(np.isfinite(t.grad)) for t in [x, *ps])
 
 
 # -- parameter initialization ----------------------------------------------------------
