@@ -21,6 +21,7 @@ WPE_ITERATIONS = 3
 WPE_VARIANCE_FLOOR = 1e-10
 MVDR_LOADING = 1e-6
 MVDR_FORGETTING = 0.98
+MVDR_POWER_STEPS = 2  # power steps per frame that track the frame-mode steering
 
 
 # -- delay and sum ------------------------------------------------------------------
@@ -177,6 +178,24 @@ def steering_from_covariance(speech_cov: np.ndarray) -> np.ndarray:
     return d * phase
 
 
+# below this the squared norm of a power step underflows and loses precision
+_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
+
+
+def _track_steering(speech_cov: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Advance the steering d (F, P) toward the principal eigenvector of the
+    updated speech covariance by MVDR_POWER_STEPS warm-started power steps,
+    phase-normalized to channel 0 as steering_from_covariance is. A band
+    whose product vanishes, e.g. a zero covariance, keeps its steering."""
+    for _ in range(MVDR_POWER_STEPS):
+        v = np.matmul(speech_cov, d[..., None])[..., 0]
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        live = norm > _NORM_FLOOR
+        d = np.where(live, v / np.where(live, norm, 1.0), d)
+    phase = np.exp(-1j * np.angle(d[..., [0]]))
+    return d * phase
+
+
 def _mvdr_weights(noise_cov: np.ndarray, d: np.ndarray, loading: float) -> np.ndarray:
     """w = Rn^-1 d / (d^H Rn^-1 d) per band, with relative diagonal loading."""
     p = noise_cov.shape[-1]
@@ -200,6 +219,8 @@ def mask_mvdr(
     mask-weighted covariances. Masks are (T, F) values in [0, 1];
     steering is the principal eigenvector of the speech covariance,
     so the distortionless constraint w^H d = 1 holds by construction.
+    Frame mode computes it in full at the first frame and then tracks it
+    with warm-started power steps (_track_steering).
     """
     speech_mask = np.asarray(speech_mask, dtype=np.float64)
     noise_mask = np.asarray(noise_mask, dtype=np.float64)
@@ -222,11 +243,16 @@ def mask_mvdr(
     elif mode == "frame":
         cov = CovarianceEstimate.empty(f_bins, p, "frame", forgetting)
         out = np.empty((t_len, f_bins), dtype=np.complex128)
+        d = None
         for t in range(t_len):
-            cov.update(z[:, t, :].T, speech_mask[t], noise_mask[t])
-            d = steering_from_covariance(cov.speech)
+            frame = z[:, t, :].T
+            cov.update(frame, speech_mask[t], noise_mask[t])
+            if d is None:
+                d = steering_from_covariance(cov.speech)
+            else:
+                d = _track_steering(cov.speech, d)
             w = _mvdr_weights(cov.noise, d, loading)
-            out[t] = np.einsum("fp,fp->f", w.conj(), z[:, t, :].T)
+            out[t] = np.einsum("fp,fp->f", w.conj(), frame)
     else:
         raise ValueError(f"mode must be 'block' or 'frame', got {mode!r}")
     return y.like(out.real[None].copy(), out.imag[None].copy())

@@ -183,6 +183,10 @@ def load_checkpoint(path):
         (hlen,) = struct.unpack("<I", _read(fh, 4, "header length"))
         header = json.loads(_read(fh, hlen, "header").decode())
         tensors = _read_tensors(fh)
+        end = fh.tell()
+        size = fh.seek(0, 2)
+        if size != end:
+            raise ValueError(f"checkpoint has {size - end} trailing bytes after the tensor table")
 
     kind = header.get("kind")
     if kind not in KINDS:
@@ -190,6 +194,12 @@ def load_checkpoint(path):
     model = KINDS[kind][2](header, _NoDraws())
 
     params = model.named_params()
+    buffers = model.named_buffers()
+    known = {f"param.{n}" for n in params} | {f"buffer.{n}" for n in buffers}
+    known |= {f"opt.{k}.{n}" for k in "mv" for n in params}
+    for key in tensors:
+        if key not in known:
+            raise ValueError(f"checkpoint holds unknown tensor {key!r}")
     for name, t in params.items():
         key = f"param.{name}"
         if key not in tensors:
@@ -199,7 +209,7 @@ def load_checkpoint(path):
                 f"shape mismatch for {name!r}: checkpoint {tensors[key].shape}, model {t.data.shape}"
             )
         t.data = tensors[key]
-    for name, b in model.named_buffers().items():
+    for name, b in buffers.items():
         key = f"buffer.{name}"
         if key not in tensors:
             raise ValueError(f"checkpoint missing buffer {name!r}")
@@ -211,12 +221,7 @@ def load_checkpoint(path):
         optimizer = AdamWState(step=int(header["optimizer_step"]))
         for key, arr in tensors.items():
             if key.startswith("opt.m."):
-                name = key[len("opt.m."):]
+                optimizer.m[key[len("opt.m."):]] = arr
             elif key.startswith("opt.v."):
-                name = key[len("opt.v."):]
-            else:
-                continue
-            if name not in params:
-                raise ValueError(f"optimizer state for unknown parameter {name!r}")
-            (optimizer.m if key.startswith("opt.m.") else optimizer.v)[name] = arr
+                optimizer.v[key[len("opt.v."):]] = arr
     return model, optimizer, header

@@ -223,6 +223,13 @@ def enhance(x: TimeSignal, model: TwoStageModel) -> TimeSignal:
         raise ValueError(
             f"model operates at {model.stft.sample_rate} Hz, got {x.sample_rate} Hz"
         )
+    finite = np.isfinite(x.samples)
+    if not finite.all():
+        sample, channel = np.argwhere(~finite.T)[0]  # earliest sample, lowest channel
+        raise ValueError(
+            f"input has a non-finite sample ({x.samples[channel, sample]}) "
+            f"at channel {channel}, sample {sample}"
+        )
     s = model.stft
     y = stft(x, s.frame_size, s.hop, s.fft_size)
     with no_grad():

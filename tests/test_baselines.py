@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import mcse.baselines as B
+from mcse import simkit
 from mcse.dsp import Spectrogram, TimeSignal, istft, stft
+from mcse.metrics import stoi
 
 rng = np.random.default_rng(41)
 
@@ -212,8 +214,9 @@ class TestMaskMvdr:
         d = B.steering_from_covariance(cov.speech)
         w = B._mvdr_weights(cov.noise, d, loading=1e-6)
         resp = np.abs(np.einsum("fp,fp->f", w.conj(), a_s))
-        # steering was estimated from data, so allow a few percent
-        np.testing.assert_allclose(resp, np.sqrt(z.shape[0]) * 0 + resp, rtol=0)
+        # a_s has unit-modulus entries and d unit norm, so the response is
+        # sqrt(P); steering was estimated from data, so allow a few percent
+        np.testing.assert_allclose(resp, np.sqrt(z.shape[0]), rtol=0.05)
         assert np.all(resp > 0.9)
 
     def test_block_output_matches_manual_weights(self):
@@ -267,6 +270,97 @@ class TestMaskMvdr:
         assert sm.shape == (s.frames, s.bins)
         assert sm.min() >= 0.0 and sm.max() <= 1.0
         np.testing.assert_allclose(sm + nm, 1.0, atol=1e-12)
+
+
+def frame_mvdr_eigh(y: Spectrogram, speech_mask, noise_mask) -> Spectrogram:
+    """Frame-mode MVDR with a full eigendecomposition per frame: the
+    reference the tracked steering is held to."""
+    z = y.to_complex()
+    p, t_len, f_bins = z.shape
+    cov = B.CovarianceEstimate.empty(f_bins, p, "frame")
+    out = np.empty((t_len, f_bins), dtype=np.complex128)
+    for t in range(t_len):
+        cov.update(z[:, t, :].T, speech_mask[t], noise_mask[t])
+        d = B.steering_from_covariance(cov.speech)
+        w = B._mvdr_weights(cov.noise, d, B.MVDR_LOADING)
+        out[t] = np.einsum("fp,fp->f", w.conj(), z[:, t, :].T)
+    return y.like(out.real[None].copy(), out.imag[None].copy())
+
+
+class TestSteeringTracker:
+    def test_converges_on_stationary_rank_one_speech(self):
+        f, p = 5, 6
+        r = np.random.default_rng(3)
+        a = r.standard_normal((f, p)) + 1j * r.standard_normal((f, p))
+        cov = B.CovarianceEstimate.empty(f, p, "frame", 0.9)
+        # start far from the answer: a random unit vector per band
+        d = r.standard_normal((f, p)) + 1j * r.standard_normal((f, p))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        for _ in range(40):
+            s = r.standard_normal(f) + 1j * r.standard_normal(f)
+            cov.update(a * s[:, None], np.ones(f), np.zeros(f))
+            d = B._track_steering(cov.speech, d)
+        want = B.steering_from_covariance(cov.speech)
+        align = np.abs(np.einsum("fp,fp->f", want.conj(), d))
+        assert np.all(align >= 1.0 - 1e-9)
+        np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, rtol=1e-12)
+        # phase-normalized to channel 0, as steering_from_covariance is
+        np.testing.assert_allclose(d, want, atol=1e-9)
+
+    def test_zero_covariance_band_keeps_steering(self):
+        """Bands whose power step vanishes or underflows keep the previous
+        steering; the rest move, and every band stays unit norm."""
+        r = np.random.default_rng(4)
+        cov = hermitian_psd(4, seed=1)[None].repeat(4, axis=0)
+        cov[1] = 0.0
+        cov[2] *= 1e-320 / np.abs(cov[2]).max()  # subnormal entries
+        cov[3] *= 1e-160 / np.abs(cov[3]).max()  # squared norm is subnormal
+        d = r.standard_normal((4, 4)) + 1j * r.standard_normal((4, 4))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        d *= np.exp(-1j * np.angle(d[:, [0]]))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = B._track_steering(cov, d)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(np.linalg.norm(got, axis=-1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(got[1:], d[1:], rtol=1e-12)
+        assert not np.allclose(got[0], d[0])
+
+    def test_frame_mode_stays_finite_when_speech_covariance_underflows(self):
+        """Speech mask zero in band 0 throughout: its speech covariance is
+        only the decaying 1e-8 loading, which reaches exactly zero."""
+        r = np.random.default_rng(6)
+        p, t, f = 3, 1200, 4
+        z = r.standard_normal((p, t, f)) + 1j * r.standard_normal((p, t, f))
+        sm = r.uniform(0.2, 0.8, (t, f))
+        sm[:, 0] = 0.0
+        spec = Spectrogram(z.real, z.imag, 8, 4, 8, 16000)
+        cov = B.CovarianceEstimate.empty(f, p, "frame", 0.5)
+        for k in range(t):
+            cov.update(z[:, k, :].T, sm[k], 1.0 - sm[k])
+        assert np.all(cov.speech[0] == 0.0)
+        out = B.mask_mvdr(spec, sm, 1.0 - sm, mode="frame", forgetting=0.5)
+        assert np.all(np.isfinite(out.to_complex()))
+
+    def test_rendered_scene_within_tracking_tolerance(self):
+        """One rendered 8-channel scene with oracle masks: the tracked
+        steering stays within STOI 0.005 and 5% relative output error of
+        the per-frame eigendecomposition."""
+        r = np.random.default_rng(12)
+        scene = simkit.SceneSpec()
+        n = 16000
+        mixture, revclean, dry = simkit.mix(
+            simkit.synth_speech(r, n), simkit.synth_noise(r, n),
+            simkit.simulate_rir(scene, "source"), simkit.simulate_rir(scene, "noise"),
+            scene.snr_db,
+        )
+        noise = TimeSignal(mixture.samples - revclean.samples, mixture.sample_rate)
+        sm, nm = B.oracle_masks(stft(revclean), stft(noise))
+        y = stft(mixture)
+        got = istft(B.mask_mvdr(y, sm, nm, mode="frame"), length=n).samples[0]
+        want = istft(frame_mvdr_eigh(y, sm, nm), length=n).samples[0]
+        assert np.linalg.norm(got - want) <= 0.05 * np.linalg.norm(want)
+        ref = dry.samples[0]
+        assert abs(stoi(ref, got, 16000) - stoi(ref, want, 16000)) <= 0.005
 
 
 class TestFilterSum:

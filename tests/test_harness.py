@@ -281,6 +281,30 @@ class TestTruncatedCheckpoint:
             load_checkpoint(path)
 
 
+class TestCorruptCheckpoint:
+    def test_trailing_bytes_are_refused(self, small_checkpoint):
+        raw, path = small_checkpoint
+        path.write_bytes(raw + b"\x00" * 13)
+        with pytest.raises(ValueError, match="13 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", [
+        "param.crn.ghost", "buffer.crn.ghost", "opt.m.crn.ghost", "opt.v.crn.ghost", "ghost",
+    ])
+    def test_unknown_tensor_is_named(self, small_checkpoint, name):
+        """Append one well-formed tensor record the model has no slot for."""
+        raw, path = small_checkpoint
+        start = len(MAGIC) + 4  # magic, then the version word
+        (hlen,) = struct.unpack("<I", raw[start:start + 4])
+        table = start + 4 + hlen
+        (count,) = struct.unpack("<I", raw[table:table + 4])
+        nb = name.encode()
+        record = struct.pack("<H", len(nb)) + nb + struct.pack("<BIf", 1, 1, 0.5)
+        path.write_bytes(raw[:table] + struct.pack("<I", count + 1) + raw[table + 4:] + record)
+        with pytest.raises(ValueError, match=f"unknown tensor '{name}'"):
+            load_checkpoint(path)
+
+
 class TestTrainLoop:
     def test_curve_shape_and_determinism(self):
         cfg = TrainConfig(batch_size=1, max_iters=3, stage="stage1", seed=5, lr=1e-3)
@@ -352,6 +376,22 @@ class TestCli:
         (tmp_path / "ref").mkdir()
         rc = main(["evaluate", "--ref", str(tmp_path / "ref"), "--est", str(tmp_path / "est")])
         assert rc == 1
+
+    def test_enhance_non_finite_input_exits_1(self, tmp_path, capsys):
+        from mcse.wavio import write_wav
+
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, tiny_model())
+        samples = np.zeros((2, 2000))
+        samples[0, 123] = np.nan
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, TimeSignal(samples, 16000))
+        out = tmp_path / "out.wav"
+        rc = main(["enhance", "--model", str(ckpt), "--in", str(wav), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "channel 0, sample 123" in err
+        assert not out.exists()
 
     def test_mvdr_without_oracle_refs_exits_2(self, tmp_path):
         from mcse.wavio import write_wav

@@ -166,6 +166,15 @@ class TestEnhance:
         with pytest.raises(ValueError):
             enhance(TimeSignal(rng.standard_normal((3, 2000)), 16000), model)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        samples = rng.standard_normal((2, 2000))
+        samples[1, 700] = bad
+        samples[0, 1500] = bad  # later in time, so not the one named
+        with pytest.raises(ValueError, match="non-finite sample .* at channel 1, sample 700"):
+            enhance(TimeSignal(samples, 16000), model)
+
 
 class TestModelContainer:
     def test_stage_params_partition(self):
