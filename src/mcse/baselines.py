@@ -62,7 +62,6 @@ def wpe(
     taps: int = WPE_TAPS,
     delay: int = WPE_DELAY,
     iterations: int = WPE_ITERATIONS,
-    variance_floor: float = WPE_VARIANCE_FLOOR,
 ) -> Spectrogram:
     """Multichannel linear-prediction dereverberation, one predictor per
     frequency band. taps=0 returns the input unchanged.
@@ -93,7 +92,7 @@ def wpe(
             ctx[shift:, k * p : (k + 1) * p] = yf[: t_len - shift, :]
         xf = yf.copy()
         for _ in range(iterations):
-            lam = np.maximum(np.mean(np.abs(xf) ** 2, axis=1), variance_floor)
+            lam = np.maximum(np.mean(np.abs(xf) ** 2, axis=1), WPE_VARIANCE_FLOOR)
             cw = ctx / lam[:, None]
             r = cw.conj().T @ ctx  # (KP, KP)
             pmat = cw.conj().T @ yf  # (KP, P)
@@ -213,7 +212,6 @@ def mask_mvdr(
     noise_mask: np.ndarray,
     mode: str = "block",
     forgetting: float = MVDR_FORGETTING,
-    loading: float = MVDR_LOADING,
 ) -> Spectrogram:
     """Minimum-variance distortionless-response beamforming with
     mask-weighted covariances. Masks are (T, F) values in [0, 1];
@@ -238,7 +236,7 @@ def mask_mvdr(
     if mode == "block":
         cov = CovarianceEstimate.block(z, speech_mask, noise_mask)
         d = steering_from_covariance(cov.speech)
-        w = _mvdr_weights(cov.noise, d, loading)  # (F, P)
+        w = _mvdr_weights(cov.noise, d, MVDR_LOADING)  # (F, P)
         out = np.einsum("fp,ptf->tf", w.conj(), z)
     elif mode == "frame":
         cov = CovarianceEstimate.empty(f_bins, p, "frame", forgetting)
@@ -251,7 +249,7 @@ def mask_mvdr(
                 d = steering_from_covariance(cov.speech)
             else:
                 d = _track_steering(cov.speech, d)
-            w = _mvdr_weights(cov.noise, d, loading)
+            w = _mvdr_weights(cov.noise, d, MVDR_LOADING)
             out[t] = np.einsum("fp,fp->f", w.conj(), frame)
     else:
         raise ValueError(f"mode must be 'block' or 'frame', got {mode!r}")
@@ -292,15 +290,6 @@ def init_filter_sum_model(p_channels: int, width_scale=1, freq_bins: int = 256,
     )
     rng = np.random.default_rng(seed)
     return FilterSumModel(p_channels, init_crn_params(cfg, rng, dtype))
-
-
-def combine_filter_sum(y: Spectrogram, w_re: np.ndarray, w_im: np.ndarray) -> Spectrogram:
-    """sum_p W_p * Y_p with complex per-channel filters (P, T, F)."""
-    if w_re.shape != y.re.shape or w_im.shape != y.re.shape:
-        raise ValueError("filter shape must match the spectrogram")
-    re = (w_re * y.re - w_im * y.im).sum(axis=0)
-    im = (w_re * y.im + w_im * y.re).sum(axis=0)
-    return y.like(re[None], im[None])
 
 
 def filter_sum_tensors(y_re, y_im, model: FilterSumModel, training: bool = False):

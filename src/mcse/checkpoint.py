@@ -22,15 +22,6 @@ from .pipeline import StftSettings, TwoStageModel, init_spatial_params
 MAGIC = b"MCSECKPT"
 VERSION = 1
 
-INIT_NOTES = {
-    "weights": "uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) per matrix",
-    "biases": "zero",
-    "prelu_slope": 0.25,
-    "bn": "gamma 1, beta 0, running mean 0, running var 1",
-    "lstm": "single bias per gate block, gate order i,f,g,o, zero initial state",
-}
-
-
 def _write_tensors(fh, tensors: dict):
     fh.write(struct.pack("<I", len(tensors)))
     for name, arr in tensors.items():
@@ -134,8 +125,7 @@ KINDS = {
 }
 
 
-def save_checkpoint(path, model, optimizer: AdamWState | None = None,
-                    extra: dict | None = None):
+def save_checkpoint(path, model, optimizer: AdamWState | None = None):
     """Serialize a TwoStageModel or FilterSumModel with optional optimizer
     state. Tensors are written as float32 regardless of working dtype."""
     for kind, (cls, to_header, _) in KINDS.items():
@@ -143,11 +133,8 @@ def save_checkpoint(path, model, optimizer: AdamWState | None = None,
             break
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    header = {"kind": kind, **to_header(model)}
-    header["init"] = INIT_NOTES
-    header["optimizer_step"] = optimizer.step if optimizer is not None else None
-    if extra:
-        header["extra"] = extra
+    header = {"kind": kind, **to_header(model),
+              "optimizer_step": optimizer.step if optimizer is not None else None}
 
     tensors = {}
     for name, t in model.named_params().items():
@@ -195,19 +182,21 @@ def load_checkpoint(path):
 
     params = model.named_params()
     buffers = model.named_buffers()
-    known = {f"param.{n}" for n in params} | {f"buffer.{n}" for n in buffers}
-    known |= {f"opt.{k}.{n}" for k in "mv" for n in params}
-    for key in tensors:
-        if key not in known:
+    # every stored tensor, optimizer moments included, has its model slot's shape
+    shapes = {f"param.{n}": t.data.shape for n, t in params.items()}
+    shapes.update((f"opt.{k}.{n}", t.data.shape) for k in "mv" for n, t in params.items())
+    shapes.update((f"buffer.{n}", b.shape) for n, b in buffers.items())
+    for key, arr in tensors.items():
+        if key not in shapes:
             raise ValueError(f"checkpoint holds unknown tensor {key!r}")
+        if arr.shape != shapes[key]:
+            raise ValueError(
+                f"shape mismatch for {key!r}: checkpoint {arr.shape}, model {shapes[key]}"
+            )
     for name, t in params.items():
         key = f"param.{name}"
         if key not in tensors:
             raise ValueError(f"checkpoint missing parameter {name!r}")
-        if tensors[key].shape != t.data.shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: checkpoint {tensors[key].shape}, model {t.data.shape}"
-            )
         t.data = tensors[key]
     for name, b in buffers.items():
         key = f"buffer.{name}"

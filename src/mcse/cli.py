@@ -7,8 +7,9 @@ Subcommands:
   baseline   ds | wpe | mvdr | filtersum on a multichannel WAV
   evaluate   score estimate WAVs against reference WAVs (STOI/WER/combined)
 
-Every subcommand accepts --config with `key = value` lines; command-line
-flags win over config-file values. Unknown keys or flags exit nonzero.
+simulate, train and baseline accept --config with `key = value` lines,
+each only the keys it reads (config.KEYS); command-line flags win over
+config-file values. Unknown keys or flags exit nonzero.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import baselines as B
 from .config import ConfigError, load_config
-from .dsp import TimeSignal, istft, stft
+from .dsp import istft, stft
 from .metrics import MetricReport, stoi, wer
 from .optim import TrainConfig
 from .pipeline import enhance, init_two_stage_model
@@ -75,15 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_config(args, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        cfg.update(load_config(args.config))
-    return cfg
+def _config(args) -> dict:
+    return load_config(args.config, args.command) if args.config else {}
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _merged_config(args, {})
+    cfg = _config(args)
     kwargs = {}
     for key in ("num_utterances", "seconds", "seed", "snr_db_min", "snr_db_max",
                 "absorption", "max_image_order", "sample_rate"):
@@ -105,7 +103,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _merged_config(args, {})
+    cfg = _config(args)
     tc_kwargs = {}
     for key in ("batch_size", "lr", "lr_halving_interval", "weight_decay",
                 "max_iters", "seed", "stage"):
@@ -157,7 +155,7 @@ def _cmd_enhance(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = _merged_config(args, {})
+    cfg = _config(args)
     x = read_wav(args.input)
     y = stft(x)
 

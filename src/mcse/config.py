@@ -1,8 +1,10 @@
 """Line-oriented `key = value` configuration files.
 
-Blank lines and lines starting with # are ignored. Values are parsed by
-the expected type of the key; unknown keys are an error that names the
-key, so typos fail loudly instead of silently using defaults.
+Blank lines and lines starting with # are ignored. Each subcommand that
+takes --config has its own table of the keys it reads; values are parsed
+by the key's type, and a key outside the table is an error that names
+it, so typos and keys meant for another subcommand fail loudly instead of
+silently doing nothing.
 """
 
 from __future__ import annotations
@@ -15,54 +17,47 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(v: str) -> bool:
-    lv = v.lower()
-    if lv in ("1", "true", "yes", "on"):
-        return True
-    if lv in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {v!r}")
-
-
-def _parse_fraction(v: str) -> Fraction:
-    return Fraction(v)
-
-
-# key -> converter; one flat namespace shared by all subcommands
-KNOWN_KEYS = {
-    # training
-    "batch_size": int,
-    "lr": float,
-    "lr_halving_interval": int,
-    "weight_decay": float,
-    "max_iters": int,
-    "seed": int,
-    "stage": str,
-    # model
-    "width_scale": _parse_fraction,
-    "freq_bins": int,
-    "p_channels": int,
-    # dataset / scene
-    "num_utterances": int,
-    "seconds": float,
-    "snr_db_min": float,
-    "snr_db_max": float,
-    "absorption": float,
-    "max_image_order": int,
-    "room_x": float,
-    "room_y": float,
-    "room_z": float,
-    "sample_rate": int,
-    # baselines
-    "wpe_taps": int,
-    "wpe_delay": int,
-    "wpe_iterations": int,
-    "mvdr_mode": str,
-    "mvdr_forgetting": float,
+# subcommand -> {key: converter}, exactly the keys that subcommand reads
+KEYS = {
+    "simulate": {
+        "num_utterances": int,
+        "seconds": float,
+        "seed": int,
+        "snr_db_min": float,
+        "snr_db_max": float,
+        "absorption": float,
+        "max_image_order": int,
+        "sample_rate": int,
+        "room_x": float,
+        "room_y": float,
+        "room_z": float,
+    },
+    "train": {
+        "batch_size": int,
+        "lr": float,
+        "lr_halving_interval": int,
+        "weight_decay": float,
+        "max_iters": int,
+        "seed": int,
+        "stage": str,
+        "width_scale": Fraction,
+        "freq_bins": int,
+        "p_channels": int,
+    },
+    "baseline": {
+        "wpe_taps": int,
+        "wpe_delay": int,
+        "wpe_iterations": int,
+        "mvdr_mode": str,
+        "mvdr_forgetting": float,
+        "width_scale": Fraction,
+        "freq_bins": int,
+    },
 }
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict:
+def parse_config_text(text: str, command: str, source: str = "<config>") -> dict:
+    keys = KEYS[command]
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -73,18 +68,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r}")
-        conv = KNOWN_KEYS[key]
+        if key not in keys:
+            raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r} for {command}")
         try:
-            out[key] = conv(value) if conv is not _parse_bool else _parse_bool(value)
-        except ConfigError:
-            raise
+            out[key] = keys[key](value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     return out
 
 
-def load_config(path) -> dict:
+def load_config(path, command: str) -> dict:
     path = Path(path)
-    return parse_config_text(path.read_text(), source=str(path))
+    return parse_config_text(path.read_text(), command, source=str(path))

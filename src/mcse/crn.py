@@ -150,7 +150,7 @@ def _block(layer, x, p: CrnParams, name: str, training: bool, *geometry):
     return L.prelu(h, p.params[f"{name}.prelu.a"])
 
 
-def crn_forward(x, p: CrnParams, training: bool = False, trace: list | None = None):
+def crn_forward(x, p: CrnParams, training: bool = False):
     """Run the CRN on x: Tensor or array (C_in, T, freq_bins).
 
     Returns the (re, im) pair of (c_out / 2, T, freq_bins) tensors from
@@ -166,24 +166,16 @@ def crn_forward(x, p: CrnParams, training: bool = False, trace: list | None = No
     if t_len == 0:
         raise ValueError("empty time axis")
 
-    def note(tag, tensor):
-        if trace is not None:
-            trace.append((tag, tuple(tensor.shape)))
-
-    note("input", x)
     skips = []
     h = x
     for i in range(ENCODER_DEPTH):
         h = _block(L.conv2d, h, p, f"enc{i}", training)
-        note(f"enc{i}", h)
         skips.append(h)
 
     c6 = cfg.ladder[-1]
     fb = cfg.f_bottleneck
     seq = h.transpose(1, 0, 2).reshape(t_len, c6 * fb)
-    note("lstm_in", seq)
     seq = L.lstm_seq(seq, p.params, cfg.lstm_hidden, LSTM_LAYERS)
-    note("lstm_out", seq)
     h = seq.reshape(t_len, c6, fb).transpose(1, 0, 2)
 
     outs = []
@@ -193,7 +185,6 @@ def crn_forward(x, p: CrnParams, training: bool = False, trace: list | None = No
             if i < ENCODER_DEPTH - 1:
                 d = concat([d, skips[ENCODER_DEPTH - 1 - i]], axis=0)
             d = _block(L.deconv2d, d, p, f"{branch}{i}", training, OUTPUT_PADDING)
-            note(f"{branch}{i}", d)
         outs.append(d)
     return outs[0], outs[1]
 

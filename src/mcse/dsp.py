@@ -93,12 +93,6 @@ class Spectrogram:
         """New spectrogram with this one's transform metadata."""
         return Spectrogram(re, im, self.frame_size, self.hop, self.fft_size, self.sample_rate)
 
-    @classmethod
-    def from_complex(cls, z: np.ndarray, frame_size=FRAME_SIZE, hop=HOP_SIZE,
-                     fft_size=FFT_SIZE, sample_rate=SAMPLE_RATE) -> "Spectrogram":
-        z = np.asarray(z)
-        return cls(z.real.copy(), z.imag.copy(), frame_size, hop, fft_size, sample_rate)
-
 
 def hann_window(size: int) -> np.ndarray:
     """Periodic Hann window (exact overlap-add constancy at size/2^k hops)."""

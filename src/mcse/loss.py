@@ -16,15 +16,11 @@ of propagating through the square root's singular point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dsp import COMPRESS_EPS, Spectrogram
 from .tensor import Tensor, as_tensor, magnitude, power, relu
 
 
-@dataclass
-class LossWeights:
-    alpha: float = 2.0
+ALPHA = 2.0  # weight of L_MagHurts
 
 
 def _pair(x):
@@ -84,10 +80,10 @@ def mag_hurts_loss(est, tgt) -> Tensor:
     return _mag_hurts(magnitude(ere, eim), magnitude(tre, tim))
 
 
-def total_loss(est, tgt, weights: LossWeights = LossWeights()) -> Tensor:
+def total_loss(est, tgt) -> Tensor:
     """Full objective on raw (uncompressed) spectra; compression applied
     to both operands here, and its magnitudes feed both terms."""
     ere, eim, tre, tim = _operands(est, tgt)
     ce = compress_pair(ere, eim)
     ct = compress_pair(tre, tim)
-    return _ri_mag(ce, ct) + weights.alpha * _mag_hurts(ce[2], ct[2])
+    return _ri_mag(ce, ct) + ALPHA * _mag_hurts(ce[2], ct[2])

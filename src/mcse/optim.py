@@ -9,6 +9,10 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+BETA1 = 0.9  # Adam moment decay rates and denominator floor
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -19,9 +23,6 @@ class TrainConfig:
     max_iters: int = 1000
     seed: int = 0
     stage: str = "stage1"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_iters < 1 or self.lr_halving_interval < 1:
@@ -76,18 +77,17 @@ def adamw_step(params: dict, state: AdamWState, lr: float, config: TrainConfig) 
 
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
-    bias1 = 1.0 - b1**t
-    bias2 = 1.0 - b2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         if config.weight_decay:
             p.data -= lr * config.weight_decay * p.data
-        p.data -= (lr / bias1) * m / (np.sqrt(v / bias2) + config.eps)
+        p.data -= (lr / bias1) * m / (np.sqrt(v / bias2) + EPS)
     return True

@@ -53,9 +53,6 @@ class SceneSpec:
     max_image_order: int = 6
     sample_rate: int = SAMPLE_RATE
     array_center: tuple | None = None  # midpoint between the two arrays
-    array_radius: float = ARRAY_RADIUS
-    array_spacing: float = ARRAY_SPACING
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.room) != 3 or any(d <= 0 for d in self.room):
@@ -70,26 +67,26 @@ class SceneSpec:
 
     def mic_positions(self) -> np.ndarray:
         """(8, 3) microphone coordinates: two tetrahedral arrays whose
-        centers straddle array_center along x, array_spacing apart."""
+        centers straddle array_center along x, ARRAY_SPACING apart."""
         cx, cy, cz = self.array_center
-        half = self.array_spacing / 2.0
+        half = ARRAY_SPACING / 2.0
         mics = []
         for off in (-half, half):
             center = np.array([cx + off, cy, cz])
             for v in _TETRA:
-                mics.append(center + self.array_radius * v)
+                mics.append(center + ARRAY_RADIUS * v)
         out = np.array(mics)
         for m in out:
             _check_inside(tuple(m), self.room, "microphone")
         return out
 
     def scene_hash(self) -> str:
+        # the fixed array geometry stays in the payload, so hashes match older manifests
         payload = repr(
             (
                 tuple(self.room), tuple(self.absorption), tuple(self.source_position),
                 tuple(self.noise_position), float(self.snr_db), int(self.max_image_order),
-                int(self.sample_rate), tuple(self.array_center), float(self.array_radius),
-                float(self.array_spacing),
+                int(self.sample_rate), tuple(self.array_center), ARRAY_RADIUS, ARRAY_SPACING,
             )
         ).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
@@ -130,7 +127,6 @@ def candidate_positions(room=DEFAULT_ROOM) -> np.ndarray:
 class RoomImpulseResponse:
     taps: np.ndarray  # (P, L)
     sample_rate: int
-    scene_hash: str = ""
 
     def __post_init__(self):
         self.taps = np.atleast_2d(np.asarray(self.taps, dtype=np.float64))
@@ -222,7 +218,7 @@ def simulate_rir(scene: SceneSpec, emitter: str = "source") -> RoomImpulseRespon
         gain = amps[live] / (4.0 * np.pi * dist)
         for t_k, g_k in zip(tau, gain):
             _sinc_pulse(t_k, g_k, taps[p])
-    return RoomImpulseResponse(taps, fs, scene.scene_hash())
+    return RoomImpulseResponse(taps, fs)
 
 
 def mix(

@@ -29,10 +29,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 

@@ -91,17 +91,10 @@ def _utterance_loss(utt: Utterance, model: TwoStageModel, stage: str,
     return total_loss(est, tgt)
 
 
-def train(
-    data: list,
-    model: TwoStageModel,
-    config: TrainConfig,
-    out_dir=None,
-    stop_loss: float | None = None,
-) -> list:
+def train(data: list, model: TwoStageModel, config: TrainConfig, out_dir=None) -> list:
     """Optimize the configured stage of the model over a list of
     Utterances. Returns the loss curve as (iteration, lr, loss) tuples.
     If out_dir is given, writes loss_curve.csv and checkpoint.bin there.
-    stop_loss ends the run early once the batch loss falls below it.
     """
     if not data:
         raise ValueError("empty training set")
@@ -125,8 +118,6 @@ def train(
         if not adamw_step(params, state, lr, config):
             log.warning("iteration %d skipped (non-finite gradients)", it)
         curve.append((it, lr, batch_loss))
-        if stop_loss is not None and batch_loss < stop_loss:
-            break
 
     if out_dir is not None:
         from .checkpoint import save_checkpoint

@@ -1,4 +1,4 @@
-"""Multichannel WAV read/write (PCM 16-bit and 32-bit float)."""
+"""Multichannel WAV read (PCM or float) and write (32-bit float)."""
 
 from __future__ import annotations
 
@@ -8,20 +8,11 @@ from scipy.io import wavfile
 from .dsp import TimeSignal
 
 
-def write_wav(path, signal: TimeSignal, encoding: str = "float32"):
-    """Write channels-first samples to a WAV file.
-
-    float32 keeps samples bit-exact; pcm16 scales [-1, 1) to int16 with
-    clipping.
-    """
+def write_wav(path, signal: TimeSignal):
+    """Write channels-first samples to a 32-bit float WAV file, which keeps
+    float32 samples bit-exact."""
     data = np.asarray(signal.samples, dtype=np.float64).T  # (L, C) for the container
-    if encoding == "float32":
-        wavfile.write(path, signal.sample_rate, data.astype(np.float32))
-    elif encoding == "pcm16":
-        clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, signal.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}; use 'float32' or 'pcm16'")
+    wavfile.write(path, signal.sample_rate, data.astype(np.float32))
 
 
 def read_wav(path) -> TimeSignal:

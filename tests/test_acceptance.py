@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 import mcse.baselines as B
+from crn_trace import trace_crn
 from gradcheck import check_grads, numeric_grad
 from mcse import layers as L
 from mcse.checkpoint import load_checkpoint, save_checkpoint
-from mcse.crn import CrnConfig, crn_forward, init_crn_params
+from mcse.crn import CrnConfig, init_crn_params
 from mcse.dsp import TimeSignal, istft, stft
 from mcse.loss import mag_hurts_loss, ri_mag_loss, total_loss
 from mcse.metrics import challenge_metric, stoi
@@ -55,16 +56,16 @@ def band_limited(channels: int, length: int, keep: float = 0.6, seed: int = 0):
     return np.fft.irfft(spec, n=length, axis=-1)
 
 
-def test_c1_full_width_shapes_and_parameter_count():
+def test_c1_full_width_shapes_and_parameter_count(monkeypatch):
     t0 = time.time()
     cfg = CrnConfig(c_in=16, c_out=16, width_scale=Fraction(1), freq_bins=256)
     params = init_crn_params(cfg, np.random.default_rng(0))
     total = sum(t.data.size for t in params.params.values())
     assert total == 14_235_520
 
-    trace = []
-    re, im = crn_forward(rng.standard_normal((16, 4, 256)).astype(np.float32),
-                         params, training=False, trace=trace)
+    trace, (re, im) = trace_crn(
+        monkeypatch, rng.standard_normal((16, 4, 256)).astype(np.float32), params
+    )
     shapes = dict(trace)
     assert shapes["enc5"] == (256, 4, 4)
     assert shapes["lstm_in"] == (4, 1024)

@@ -364,14 +364,6 @@ class TestSteeringTracker:
 
 
 class TestFilterSum:
-    def test_combine_matches_complex_arithmetic(self):
-        y = rng.standard_normal((3, 5, 256)) + 1j * rng.standard_normal((3, 5, 256))
-        w = rng.standard_normal((3, 5, 256)) + 1j * rng.standard_normal((3, 5, 256))
-        spec = Spectrogram(y.real, y.imag, 512, 64, 512, 16000)
-        out = B.combine_filter_sum(spec, w.real, w.imag)
-        want = (w * y).sum(axis=0)
-        np.testing.assert_allclose(out.to_complex()[0], want, rtol=1e-10, atol=1e-12)
-
     def test_model_collapses_channels(self):
         from fractions import Fraction
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crn_trace import trace_crn
 from mcse.crn import BASE_CHANNELS, CrnConfig, crn_forward, init_crn_params
 
 rng = np.random.default_rng(3)
@@ -52,12 +53,11 @@ class TestConfig:
 
 
 class TestFullWidthLadder:
-    def test_shape_trace(self):
+    def test_shape_trace(self, monkeypatch):
         """Frozen stage-by-stage shapes for the 8-microphone model."""
         cfg, params = make(c_in=16, c_out=16, width=1, bins=256)
         x = rng.standard_normal((16, 10, 256)).astype(np.float32)
-        trace = []
-        re, im = crn_forward(x, params, training=False, trace=trace)
+        trace, (re, im) = trace_crn(monkeypatch, x, params)
 
         expected = [
             ("input", (16, 10, 256)),
