@@ -8,7 +8,8 @@ Subcommands:
   evaluate   score estimate WAVs against reference WAVs (STOI/WER/combined)
 
 simulate, train and baseline accept --config with `key = value` lines,
-each only the keys it reads (config.KEYS); command-line flags win over
+each only the keys it reads (config.KEYS, narrowed by config.MODE_KEYS to
+what a baseline method or --model reads); command-line flags win over
 config-file values. Unknown keys or flags exit nonzero.
 """
 
@@ -76,12 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> dict:
-    return load_config(args.config, args.command) if args.config else {}
+def _config(args, command) -> dict:
+    return load_config(args.config, command) if args.config else {}
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, "simulate")
     kwargs = {}
     for key in ("num_utterances", "seconds", "seed", "snr_db_min", "snr_db_max",
                 "absorption", "max_image_order", "sample_rate"):
@@ -103,7 +104,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, "train --model" if args.model else "train")
     tc_kwargs = {}
     for key in ("batch_size", "lr", "lr_halving_interval", "weight_decay",
                 "max_iters", "seed", "stage"):
@@ -155,7 +156,8 @@ def _cmd_enhance(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    cfg = _config(args)
+    model = " --model" if args.method == "filtersum" and args.model else ""
+    cfg = _config(args, f"baseline {args.method}{model}")
     x = read_wav(args.input)
     y = stft(x)
 

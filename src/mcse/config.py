@@ -4,7 +4,8 @@ Blank lines and lines starting with # are ignored. Each subcommand that
 takes --config has its own table of the keys it reads; values are parsed
 by the key's type, and a key outside the table is an error that names
 it, so typos and keys meant for another subcommand fail loudly instead of
-silently doing nothing.
+silently doing nothing. So does a key of the table that the `baseline`
+method, or `--model` in place of a fresh model, would ignore (MODE_KEYS).
 """
 
 from __future__ import annotations
@@ -56,8 +57,21 @@ KEYS = {
 }
 
 
+# "subcommand mode" -> the part of the subcommand's table that mode reads
+MODE_KEYS = {
+    "train --model": set(KEYS["train"]) - {"width_scale", "freq_bins", "p_channels"},
+    "baseline ds": set(),
+    "baseline wpe": {"wpe_taps", "wpe_delay", "wpe_iterations"},
+    "baseline mvdr": {"mvdr_mode", "mvdr_forgetting"},
+    "baseline filtersum": {"width_scale", "freq_bins"},
+    "baseline filtersum --model": set(),
+}
+
+
 def parse_config_text(text: str, command: str, source: str = "<config>") -> dict:
-    keys = KEYS[command]
+    """command is a subcommand, or a MODE_KEYS mode of one."""
+    keys = KEYS[command.split()[0]]
+    read = MODE_KEYS.get(command, keys)
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -68,7 +82,7 @@ def parse_config_text(text: str, command: str, source: str = "<config>") -> dict
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in keys:
+        if key not in read:
             raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r} for {command}")
         try:
             out[key] = keys[key](value)

@@ -28,10 +28,7 @@ from . import layers as L
 from .tensor import as_tensor, concat
 
 BASE_CHANNELS = (16, 32, 64, 128, 256, 256)
-KERNEL = (1, 3)
-STRIDE = (1, 2)
-PADDING = (0, 1)
-OUTPUT_PADDING = (0, 1)
+KERNEL = (1, 3)  # layers.conv2d/deconv2d take only this kernel shape
 LSTM_LAYERS = 2
 ENCODER_DEPTH = 6
 DECODERS = ("dec_re", "dec_im")
@@ -139,10 +136,11 @@ def init_crn_params(config: CrnConfig, rng: np.random.Generator, dtype=np.float3
     return CrnParams(config, params, buffers)
 
 
-def _block(layer, x, p: CrnParams, name: str, training: bool, *geometry):
-    """layer (conv2d or deconv2d, with any geometry past stride and
-    padding), then batchnorm and PReLU."""
-    h = layer(x, p.params[f"{name}.w"], p.params[f"{name}.b"], STRIDE, PADDING, *geometry)
+def _block(layer, x, p: CrnParams, name: str, training: bool):
+    """layer, then batchnorm and PReLU. layer is conv2d (F -> F/2) or
+    deconv2d (F -> 2F), both with the fixed (1, 3) kernel, frequency
+    stride 2 and padding 1 that layers.py defines."""
+    h = layer(x, p.params[f"{name}.w"], p.params[f"{name}.b"])
     h = L.batchnorm2d(
         h, p.params[f"{name}.bn.gamma"], p.params[f"{name}.bn.beta"],
         p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"], training,
@@ -184,7 +182,7 @@ def crn_forward(x, p: CrnParams, training: bool = False):
         for i in range(ENCODER_DEPTH):
             if i < ENCODER_DEPTH - 1:
                 d = concat([d, skips[ENCODER_DEPTH - 1 - i]], axis=0)
-            d = _block(L.deconv2d, d, p, f"{branch}{i}", training, OUTPUT_PADDING)
+            d = _block(L.deconv2d, d, p, f"{branch}{i}", training)
         outs.append(d)
     return outs[0], outs[1]
 

@@ -2,7 +2,9 @@
 
 Each layer is a function of a Tensor input plus explicit parameter Tensors,
 with a hand-written backward. Convolutions operate on single samples laid
-out channel-first as (C, T, F); recurrent/dense layers take (T, D) or a
+out channel-first as (C, T, F) and have one fixed geometry, the CRN's:
+kernel (1, 3), stride (1, 2), padding (0, 1), and output padding (0, 1)
+on the transposed conv. Recurrent/dense layers take (T, D) or a
 band-batched (B, T, D).
 """
 
@@ -11,14 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor import Tensor, _accum, as_tensor, concat, make_node
-
-
-def _pair(v):
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ValueError(f"expected a pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
 
 
 def uniform_param(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
@@ -36,106 +30,91 @@ def full_param(shape, value, dtype=np.float32) -> Tensor:
     return Tensor(np.full(shape, value, dtype=dtype), requires_grad=True)
 
 
-# -- 2-D convolution over (C, T, F) ---------------------------------------------
+# -- 2-D convolution over (C, T, F), each one GEMM over the 3 frequency taps -----
 
 
-def conv2d(x, w, b=None, stride=(1, 2), padding=(0, 1)) -> Tensor:
-    """x: (C_in, T, F); w: (C_out, C_in, kt, kf); b: (C_out,) or None."""
-    x, w = as_tensor(x), as_tensor(w)
+def _check_conv(name, x, w, c_axis):
     if x.ndim != 3 or w.ndim != 4:
-        raise ValueError(f"conv2d expects (C,T,F) input and 4-D kernel, got {x.shape}, {w.shape}")
-    if x.shape[0] != w.shape[1]:
-        raise ValueError(f"conv2d channel mismatch: input {x.shape[0]}, kernel {w.shape[1]}")
-    st, sf = _pair(stride)
-    pt, pf = _pair(padding)
-    c_out, c_in, kt, kf = w.shape
-    _, t_in, f_in = x.shape
-    t_out = (t_in + 2 * pt - kt) // st + 1
-    f_out = (f_in + 2 * pf - kf) // sf + 1
-    if t_out <= 0 or f_out <= 0:
-        raise ValueError(f"conv2d output would be empty for input {x.shape}")
+        raise ValueError(f"{name} expects (C,T,F) input and 4-D kernel, got {x.shape}, {w.shape}")
+    if w.shape[2:] != (1, 3):
+        raise ValueError(f"{name} takes only (., ., 1, 3) kernels, got {w.shape}")
+    if x.shape[0] != w.shape[c_axis]:
+        raise ValueError(f"{name} channel mismatch: input {x.shape[0]}, kernel {w.shape[c_axis]}")
+    if x.shape[1] == 0 or x.shape[2] == 0:
+        raise ValueError(f"{name} output would be empty for input {x.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (pt, pt), (pf, pf)))
-    out = np.zeros((c_out, t_out, f_out), dtype=x.data.dtype)
-    for it in range(kt):
-        for jf in range(kf):
-            sl = xp[:, it : it + t_out * st : st, jf : jf + f_out * sf : sf]
-            out += np.einsum("oc,ctf->otf", w.data[:, :, it, jf], sl, optimize=True)
+
+def _taps(xp, f_out):
+    """(C, T, F + 2) padded input -> (C * 3, T * f_out) stride-2 tap matrix."""
+    c, t_len, _ = xp.shape
+    cols = np.stack([xp[:, :, e : e + 2 * f_out - 1 : 2] for e in range(3)], axis=1)
+    return cols.reshape(c * 3, t_len * f_out)
+
+
+def conv2d(x, w, b=None) -> Tensor:
+    """x: (C_in, T, F); w: (C_out, C_in, 1, 3); b: (C_out,) or None.
+    Returns (C_out, T, ceil(F / 2))."""
+    x, w = as_tensor(x), as_tensor(w)
+    _check_conv("conv2d", x, w, 1)
+    c_out, c_in = w.shape[:2]
+    _, t_len, f_in = x.shape
+    f_out = (f_in + 1) // 2
+    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1)))
+    w2 = w.data.reshape(c_out, c_in * 3)
+    out = (w2 @ _taps(xp, f_out)).reshape(c_out, t_len, f_out)
     if b is not None:
         b = as_tensor(b)
-        out = out + b.data[:, None, None]
+        out += b.data[:, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
         if b is not None:
             _accum(b, g.sum(axis=(1, 2)))
+        g2 = g.reshape(c_out, t_len * f_out)
+        _accum(w, (g2 @ _taps(xp, f_out).T).reshape(w.shape))
+        dcols = (w2.T @ g2).reshape(c_in, 3, t_len, f_out)
         dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
-        for it in range(kt):
-            for jf in range(kf):
-                sl = xp[:, it : it + t_out * st : st, jf : jf + f_out * sf : sf]
-                dw[:, :, it, jf] = np.einsum("otf,ctf->oc", g, sl, optimize=True)
-                dxp[:, it : it + t_out * st : st, jf : jf + f_out * sf : sf] += np.einsum(
-                    "oc,otf->ctf", w.data[:, :, it, jf], g, optimize=True
-                )
-        _accum(w, dw)
-        if pt or pf:
-            dxp = dxp[:, pt : pt + t_in, pf : pf + f_in]
-        _accum(x, dxp)
+        for e in range(3):
+            dxp[:, :, e : e + 2 * f_out - 1 : 2] += dcols[:, e]
+        _accum(x, dxp[:, :, 1 : f_in + 1])
 
     return make_node(out, parents, backward)
 
 
-def deconv2d(x, w, b=None, stride=(1, 2), padding=(0, 1), output_padding=(0, 1)) -> Tensor:
-    """Transposed convolution. x: (C_in, T, F); w: (C_in, C_out, kt, kf)."""
+def deconv2d(x, w, b=None) -> Tensor:
+    """Transposed conv2d. x: (C_in, T, F); w: (C_in, C_out, 1, 3); b:
+    (C_out,) or None. Returns (C_out, T, 2F)."""
     x, w = as_tensor(x), as_tensor(w)
-    if x.ndim != 3 or w.ndim != 4:
-        raise ValueError(f"deconv2d expects (C,T,F) input and 4-D kernel, got {x.shape}, {w.shape}")
-    if x.shape[0] != w.shape[0]:
-        raise ValueError(f"deconv2d channel mismatch: input {x.shape[0]}, kernel {w.shape[0]}")
-    st, sf = _pair(stride)
-    pt, pf = _pair(padding)
-    ot, of = _pair(output_padding)
-    if ot >= st and ot > 0 or of >= sf and of > 0:
-        raise ValueError("output_padding must be smaller than stride")
-    c_in, c_out, kt, kf = w.shape
-    _, t_in, f_in = x.shape
-    t_out = (t_in - 1) * st - 2 * pt + kt + ot
-    f_out = (f_in - 1) * sf - 2 * pf + kf + of
-    if t_out <= 0 or f_out <= 0:
-        raise ValueError(f"deconv2d output would be empty for input {x.shape}")
-
-    t_full = (t_in - 1) * st + kt + ot
-    f_full = (f_in - 1) * sf + kf + of
-    buf = np.zeros((c_out, t_full, f_full), dtype=x.data.dtype)
-    for it in range(kt):
-        for jf in range(kf):
-            buf[:, it : it + t_in * st : st, jf : jf + f_in * sf : sf] += np.einsum(
-                "io,itf->otf", w.data[:, :, it, jf], x.data, optimize=True
-            )
-    out = buf[:, pt : pt + t_out, pf : pf + f_out]
+    _check_conv("deconv2d", x, w, 0)
+    c_in, c_out = w.shape[:2]
+    _, t_len, f_in = x.shape
+    x2 = x.data.reshape(c_in, t_len * f_in)
+    wm = w.data[:, :, 0, :].transpose(2, 1, 0).reshape(3 * c_out, c_in)
+    taps = (wm @ x2).reshape(3, c_out, t_len, f_in)
+    # tap e of input bin f lands on output bin 2f + e - 1
+    out = np.empty((c_out, t_len, 2 * f_in), dtype=taps.dtype)
+    out[:, :, 0::2] = taps[1]
+    out[:, :, 1::2] = taps[2]
+    out[:, :, 1:-2:2] += taps[0, :, :, 1:]
     if b is not None:
         b = as_tensor(b)
-        out = out + b.data[:, None, None]
-    out = np.ascontiguousarray(out)
+        out += b.data[:, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
         if b is not None:
             _accum(b, g.sum(axis=(1, 2)))
-        gbuf = np.zeros((c_out, t_full, f_full), dtype=g.dtype)
-        gbuf[:, pt : pt + t_out, pf : pf + f_out] = g
-        dx = np.zeros_like(x.data)
-        dw = np.zeros_like(w.data)
-        for it in range(kt):
-            for jf in range(kf):
-                gsl = gbuf[:, it : it + t_in * st : st, jf : jf + f_in * sf : sf]
-                dw[:, :, it, jf] = np.einsum("itf,otf->io", x.data, gsl, optimize=True)
-                dx += np.einsum("io,otf->itf", w.data[:, :, it, jf], gsl, optimize=True)
-        _accum(w, dw)
-        _accum(x, dx)
+        gt = np.empty((3, c_out, t_len, f_in), dtype=g.dtype)
+        gt[0, :, :, 0] = 0.0
+        gt[0, :, :, 1:] = g[:, :, 1:-2:2]
+        gt[1] = g[:, :, 0::2]
+        gt[2] = g[:, :, 1::2]
+        gt = gt.reshape(3 * c_out, t_len * f_in)
+        dw = (gt @ x2.T).reshape(3, c_out, c_in).transpose(2, 1, 0)
+        _accum(w, dw[:, :, None, :])
+        _accum(x, (wm.T @ gt).reshape(x.shape))
 
     return make_node(out, parents, backward)
 

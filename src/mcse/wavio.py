@@ -19,9 +19,8 @@ def read_wav(path) -> TimeSignal:
     """Read a WAV file into float64 channels-first samples. PCM is scaled
     to [-1, 1); float data is passed through."""
     rate, data = wavfile.read(path)
-    data = np.atleast_2d(data)
-    if data.shape[0] != 1:
-        data = data.T  # (C, L)
+    # scipy returns (L,) for mono and (L, C) for any multichannel file
+    data = data.reshape(1, -1) if data.ndim == 1 else data.T
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:

@@ -215,3 +215,11 @@ class TestWavReader:
         path = tmp_path / "float.wav"
         wavfile.write(path, 16000, data)
         np.testing.assert_array_equal(read_wav(path).samples, data.T.astype(np.float64))
+
+    def test_one_frame_multichannel_keeps_its_channels(self, tmp_path):
+        data = np.array([[0.25, -0.5, 0.75]], dtype=np.float32)  # 1 frame, 3 channels
+        path = tmp_path / "one_frame.wav"
+        wavfile.write(path, 16000, data)
+        sig = read_wav(path)
+        assert sig.channels == 3 and sig.length == 1
+        np.testing.assert_array_equal(sig.samples, data.T.astype(np.float64))

@@ -418,6 +418,39 @@ class TestCli:
         assert f"{cfg}:2" in err and repr(line.split()[0]) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    @pytest.mark.parametrize("command, line", [
+        ("baseline ds --in {d}/x.wav --out {d}/y.wav", "wpe_taps = 3"),
+        ("baseline wpe --in {d}/x.wav --out {d}/y.wav", "mvdr_mode = frame"),
+        ("baseline mvdr --in {d}/x.wav --out {d}/y.wav", "width_scale = 1/8"),
+        ("baseline filtersum --model {d}/m.bin --in {d}/x.wav --out {d}/y.wav",
+         "freq_bins = 128"),
+        ("train --model {d}/m.bin --data {d}/m.txt --out {d}/run", "p_channels = 4"),
+    ], ids=["wpe_key-ds", "mvdr_key-wpe", "model_key-mvdr", "model_key-filtersum_model",
+            "model_key-train_model"])
+    def test_key_its_mode_does_not_read_exits_2(self, tmp_path, capsys, command, line):
+        """A key of the subcommand's table that the chosen baseline method,
+        or --model in place of a fresh model, would ignore is refused before
+        any work starts."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        argv = command.format(d=tmp_path).split() + ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}:1: ") and repr(line.split()[0]) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_method_reads_its_own_keys(self, tmp_path):
+        from mcse.wavio import write_wav
+
+        wav = tmp_path / "mix.wav"
+        write_wav(wav, TimeSignal(np.random.default_rng(0).standard_normal((2, 4000)), 16000))
+        cfg = tmp_path / "wpe.cfg"
+        cfg.write_text("wpe_taps = 3\nwpe_iterations = 1\n")
+        out = tmp_path / "o.wav"
+        assert main(["baseline", "wpe", "--in", str(wav), "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert out.exists()
+
     def test_missing_checkpoint_exits_1(self, tmp_path):
         rc = main(["enhance", "--model", str(tmp_path / "nope.bin"),
                    "--in", "x.wav", "--out", "y.wav"])

@@ -25,44 +25,37 @@ def r(*shape):
 # -- brute-force references ----------------------------------------------------------
 
 
-def conv2d_loops(x, w, b, stride, padding):
-    st, sf = stride
-    pt, pf = padding
-    c_out, c_in, kt, kf = w.shape
-    xp = np.pad(x, ((0, 0), (pt, pt), (pf, pf)))
-    t_out = (x.shape[1] + 2 * pt - kt) // st + 1
-    f_out = (x.shape[2] + 2 * pf - kf) // sf + 1
+def conv2d_loops(x, w, b):
+    """The model's conv: kernel (1, 3), stride (1, 2), padding (0, 1)."""
+    c_out, c_in, _, kf = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
+    t_out = x.shape[1]
+    f_out = (x.shape[2] + 2 - kf) // 2 + 1
     out = np.zeros((c_out, t_out, f_out))
     for o in range(c_out):
         for t in range(t_out):
             for f in range(f_out):
                 acc = 0.0
                 for c in range(c_in):
-                    for a in range(kt):
-                        for e in range(kf):
-                            acc += w[o, c, a, e] * xp[c, t * st + a, f * sf + e]
+                    for e in range(kf):
+                        acc += w[o, c, 0, e] * xp[c, t, f * 2 + e]
                 out[o, t, f] = acc + (b[o] if b is not None else 0.0)
     return out
 
 
-def deconv2d_loops(x, w, b, stride, padding, output_padding):
-    st, sf = stride
-    pt, pf = padding
-    ot, of = output_padding
-    c_in, c_out, kt, kf = w.shape
-    t_full = (x.shape[1] - 1) * st + kt + ot
-    f_full = (x.shape[2] - 1) * sf + kf + of
-    buf = np.zeros((c_out, t_full, f_full))
+def deconv2d_loops(x, w, b):
+    """The model's transposed conv: kernel (1, 3), stride (1, 2), padding
+    (0, 1), output padding (0, 1)."""
+    c_in, c_out, _, kf = w.shape
+    f_full = (x.shape[2] - 1) * 2 + kf + 1
+    buf = np.zeros((c_out, x.shape[1], f_full))
     for c in range(c_in):
         for t in range(x.shape[1]):
             for f in range(x.shape[2]):
                 for o in range(c_out):
-                    for a in range(kt):
-                        for e in range(kf):
-                            buf[o, t * st + a, f * sf + e] += w[c, o, a, e] * x[c, t, f]
-    t_out = (x.shape[1] - 1) * st - 2 * pt + kt + ot
-    f_out = (x.shape[2] - 1) * sf - 2 * pf + kf + of
-    out = buf[:, pt : pt + t_out, pf : pf + f_out]
+                    for e in range(kf):
+                        buf[o, t, f * 2 + e] += w[c, o, 0, e] * x[c, t, f]
+    out = buf[:, :, 1 : 1 + 2 * x.shape[2]]
     if b is not None:
         out = out + b[:, None, None]
     return out
@@ -93,22 +86,23 @@ def lstm_steps(x, w_ih, w_hh, b):
 # -- convolution ---------------------------------------------------------------------
 
 
+# (C, T, F) inputs of the model geometry: even F, odd F, F = 2, one frame
+CONV_SHAPES = {"even_F": (2, 4, 8), "odd_F": (3, 5, 7), "F2": (2, 3, 2), "T1": (3, 1, 6)}
+
+
 class TestConv2d:
-    @pytest.mark.parametrize(
-        "shape,stride,padding",
-        [
-            ((2, 4, 8), (1, 2), (0, 1)),
-            ((3, 5, 6), (1, 1), (1, 1)),
-            ((1, 3, 9), (2, 3), (0, 0)),
-        ],
-    )
-    def test_matches_direct_loops(self, shape, stride, padding):
-        x = r(*shape)
-        w = r(4, shape[0], 1, 3) if stride == (1, 2) else r(4, shape[0], 3, 3)
-        b = r(4)
-        got = L.conv2d(x, w, b, stride, padding).data
-        want = conv2d_loops(x, w, b, stride, padding)
+    @pytest.mark.parametrize("shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+    def test_matches_direct_loops(self, shape):
+        x, w, b = r(*shape), r(4, shape[0], 1, 3), r(4)
+        got = L.conv2d(x, w, b).data
+        want = conv2d_loops(x, w, b)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_float32_matches_loops(self):
+        x, w, b = r(3, 5, 9), r(4, 3, 1, 3), r(4)
+        got = L.conv2d(*(v.astype(np.float32) for v in (x, w, b))).data
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, conv2d_loops(x, w, b), rtol=1e-5, atol=1e-5)
 
     def test_default_geometry_halves_freq(self):
         # kernel (1,3), stride (1,2), pad (0,1): time preserved, F -> F/2
@@ -124,28 +118,38 @@ class TestConv2d:
     def test_grad_no_bias(self):
         check_grads(lambda x, w: (L.conv2d(x, w) ** 2).sum(), [r(2, 3, 8), r(3, 2, 1, 3)])
 
+    def test_grad_odd_freq(self):
+        check_grads(
+            lambda x, w, b: (L.conv2d(x, w, b) ** 2).sum(),
+            [r(2, 1, 7), r(3, 2, 1, 3), r(3)],
+        )
+
     def test_channel_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="channel mismatch"):
             L.conv2d(r(2, 4, 8), r(4, 3, 1, 3))
+
+    def test_other_kernel_raises(self):
+        with pytest.raises(ValueError, match=r"\(4, 2, 3, 3\)"):
+            L.conv2d(r(2, 4, 8), r(4, 2, 3, 3))
+
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            L.conv2d(r(2, 4, 0), r(4, 2, 1, 3))
 
 
 class TestDeconv2d:
-    @pytest.mark.parametrize(
-        "shape,stride,padding,outpad",
-        [
-            ((2, 4, 8), (1, 2), (0, 1), (0, 1)),
-            ((3, 4, 5), (1, 1), (1, 1), (0, 0)),
-            ((1, 3, 4), (2, 3), (0, 0), (1, 2)),
-        ],
-    )
-    def test_matches_direct_loops(self, shape, stride, padding, outpad):
-        x = r(*shape)
-        kt = 1 if stride[0] == 1 else 3
-        w = r(shape[0], 4, kt, 3)
-        b = r(4)
-        got = L.deconv2d(x, w, b, stride, padding, outpad).data
-        want = deconv2d_loops(x, w, b, stride, padding, outpad)
+    @pytest.mark.parametrize("shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+    def test_matches_direct_loops(self, shape):
+        x, w, b = r(*shape), r(shape[0], 4, 1, 3), r(4)
+        got = L.deconv2d(x, w, b).data
+        want = deconv2d_loops(x, w, b)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_float32_matches_loops(self):
+        x, w, b = r(3, 5, 9), r(3, 4, 1, 3), r(4)
+        got = L.deconv2d(*(v.astype(np.float32) for v in (x, w, b))).data
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, deconv2d_loops(x, w, b), rtol=1e-5, atol=1e-5)
 
     def test_default_geometry_doubles_freq(self):
         out = L.deconv2d(r(4, 10, 32), r(4, 2, 1, 3))
@@ -163,9 +167,23 @@ class TestDeconv2d:
             [r(3, 3, 6), r(3, 2, 1, 3), r(2)],
         )
 
-    def test_output_padding_must_stay_below_stride(self):
-        with pytest.raises(ValueError):
-            L.deconv2d(r(2, 4, 8), r(2, 2, 1, 3), stride=(1, 2), output_padding=(0, 2))
+    def test_grad_odd_freq(self):
+        check_grads(
+            lambda x, w: (L.deconv2d(x, w) ** 2).sum(),
+            [r(2, 1, 5), r(2, 3, 1, 3)],
+        )
+
+    def test_channel_mismatch_raises(self):
+        with pytest.raises(ValueError, match="channel mismatch"):
+            L.deconv2d(r(2, 4, 8), r(3, 2, 1, 3))
+
+    def test_other_kernel_raises(self):
+        with pytest.raises(ValueError, match=r"\(2, 2, 1, 4\)"):
+            L.deconv2d(r(2, 4, 8), r(2, 2, 1, 4))
+
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError, match="empty"):
+            L.deconv2d(r(2, 0, 8), r(2, 2, 1, 3))
 
 
 # -- normalization -------------------------------------------------------------------
