@@ -155,7 +155,16 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
+# (flag, the one baseline method that reads it)
+BASELINE_FLAGS = (("--delays", "ds"), ("--speech-ref", "mvdr"), ("--noise-ref", "mvdr"),
+                  ("--model", "filtersum"))
+
+
 def _cmd_baseline(args) -> int:
+    for flag, method in BASELINE_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.method != method:
+            print(f"error: {flag} is not used by baseline {args.method}", file=sys.stderr)
+            return 2
     model = " --model" if args.method == "filtersum" and args.model else ""
     cfg = _config(args, f"baseline {args.method}{model}")
     x = read_wav(args.input)

@@ -10,9 +10,15 @@ band-batched (B, T, D).
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
-from .tensor import Tensor, _accum, as_tensor, concat, make_node
+from .tensor import Tensor, _accum, as_tensor, make_node, records
 
 
 def uniform_param(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
@@ -215,7 +221,10 @@ def prelu(x, a) -> Tensor:
         raise ValueError(f"prelu slope shape {a.shape} does not match channels {x.shape[0]}")
     a_b = a.data.reshape((x.shape[0],) + (1,) * (x.ndim - 1))
     neg = x.data < 0
-    out = np.where(neg, a_b * x.data, x.data)
+    # slope where x < 0 and 1 elsewhere, times x: the bytes of
+    # np.where(neg, a_b * x, x) with one full-size temporary fewer
+    out = np.where(neg, a_b, 1.0).astype(np.result_type(x.data, a_b), copy=False)
+    np.multiply(out, x.data, out=out)
 
     def backward(g):
         axes = tuple(range(1, x.ndim))
@@ -253,6 +262,73 @@ def linear(x, w, b=None) -> Tensor:
 
 # -- LSTM --------------------------------------------------------------------------
 
+# Input-projection rows (steps x batch) per block when a forward keeps no
+# history: 32 steps of the spatial filter's 256 bands, and the whole
+# sequence of a CRN bottleneck (batch 1), where smaller blocks would
+# re-read its large w_ih.
+_CHUNK_ROWS = 8192
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None when this numpy has no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, ()
+        put.restype, put.argtypes = None, (ctypes.c_int,)
+        return get, put
+    return None
+
+
+def _bw_worker():
+    """The one-thread pool that runs the bw direction of each bidirectional
+    layer while the calling thread runs fw. None, and both directions run
+    on the calling thread, when BLAS threads cannot be capped (they would
+    compete with the pair) or when this process may use fewer than 2 CPUs."""
+    if _BLAS_THREADS is None or len(os.sched_getaffinity(0)) < 2:
+        return None
+    return ThreadPoolExecutor(1, thread_name_prefix="lstm-bw")
+
+
+def _renew_bw_worker():
+    # a forked child inherits the pool but not its thread, and would wait
+    # on its first job forever
+    global _BW_WORKER
+    _BW_WORKER = _bw_worker()
+
+
+_BLAS_THREADS = _openblas_threads()
+_BW_WORKER = _bw_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_bw_worker)
+
+
+def _pair(fw, bw):
+    """(fw(), bw()), with bw on the worker while fw runs here and BLAS on one
+    thread until both are done; one after the other here without a worker.
+    Returns or raises only once both are done."""
+    if _BW_WORKER is None:
+        return fw(), bw()
+    get, put = _BLAS_THREADS
+    threads = get()
+    put(1)
+    try:
+        # the copied context carries the caller's np.errstate to the worker
+        job = _BW_WORKER.submit(contextvars.copy_context().run, bw)
+        try:
+            first = fw()
+        finally:
+            wait((job,))
+        return first, job.result()
+    finally:
+        put(threads)
+
 
 def _gate_constants(h_size: int, dtype):
     """Per-column (scale, shift) for _activate_gates over a (..., 4H) row
@@ -275,21 +351,8 @@ def _activate_gates(z, scale, shift):
     return z
 
 
-def lstm_cell_seq(x, w_ih, w_hh, b) -> Tensor:
-    """One direction of one LSTM layer over a whole sequence.
-
-    x: (B, T, D); w_ih: (4H, D); w_hh: (4H, H); b: (4H,). Gate order i, f,
-    g, o. Initial hidden and cell state are zero. Returns (B, T, H).
-
-    Each step activates its (B, 4H) gate row in place with one tanh, using
-    sigmoid(z) = 1/2 + tanh(z/2)/2 for i, f and o (_activate_gates). The
-    gate, cell, tanh(cell) and hidden buffers are time-major, (T, B, .), so
-    every step reads and writes contiguous slabs. The full BPTT backward is
-    written out by hand.
-    """
-    x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
-    if x.ndim != 3:
-        raise ValueError(f"lstm_cell_seq expects (B,T,D), got {x.shape}")
+def _lstm_hidden(x, w_ih, w_hh, b) -> int:
+    """Hidden size of one direction's (w_ih, w_hh, b), checked against x."""
     four_h, d_in = w_ih.shape
     if four_h % 4 != 0:
         raise ValueError("w_ih first dim must be 4*hidden")
@@ -298,59 +361,141 @@ def lstm_cell_seq(x, w_ih, w_hh, b) -> Tensor:
         raise ValueError("lstm parameter shape mismatch")
     if x.shape[-1] != d_in:
         raise ValueError(f"lstm input width {x.shape[-1]} does not match w_ih {w_ih.shape}")
-    bsz, t_len, _ = x.shape
-    dtype = x.data.dtype
+    return h_size
+
+
+def _lstm_forward(x, w_ih, w_hh, b, out, keep):
+    """One direction over x (B, T, D), writing every step's h straight
+    into out (B, T, H), which may be a strided view. Initial hidden and
+    cell state are zero.
+
+    Each step activates its (B, 4H) gate row in place with one tanh
+    (_activate_gates). The gate, cell and tanh(cell) buffers are
+    time-major, (T, B, .), so every step reads and writes contiguous slabs.
+    With keep, the input projection runs over the whole sequence at once,
+    every step's buffers are kept and the cache for _lstm_backward is
+    returned. Without it, the projection runs in blocks of _CHUNK_ROWS
+    rows through one scratch buffer, cell and tanh(cell) are 2-deep rings,
+    and None is returned.
+    """
+    bsz, t_len, d_in = x.shape
+    four_h = w_ih.shape[0]
+    h_size = four_h // 4
+    dtype = x.dtype
     sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
     sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
-
-    # input projection for every step at once, straight into the gate buffer
-    x_tm = x.data.transpose(1, 0, 2).reshape(t_len * bsz, d_in)
-    gates = np.matmul(x_tm, w_ih.data.T).reshape(t_len, bsz, four_h)
-    gates += b.data
-    del x_tm
-    w_hh_t = np.ascontiguousarray(w_hh.data.T)
-    scale, shift = _gate_constants(h_size, dtype)
-    cells = np.empty((t_len, bsz, h_size), dtype=dtype)
+    chunk = max(t_len if keep else _CHUNK_ROWS // max(bsz, 1), 1)
+    depth = t_len if keep else 2
+    gates = np.empty((min(chunk, t_len), bsz, four_h), dtype=np.result_type(x, w_ih))
+    cells = np.empty((depth, bsz, h_size), dtype=dtype)
     tanh_c = np.empty_like(cells)
-    hs = np.empty_like(cells)
+    hs = out.transpose(1, 0, 2)
+    w_hh_t = np.ascontiguousarray(w_hh.T)
+    scale, shift = _gate_constants(h_size, dtype)
     rec = np.empty((bsz, four_h), dtype=dtype)
-    for t in range(t_len):
-        z = gates[t]
-        if t > 0:
-            np.matmul(hs[t - 1], w_hh_t, out=rec)
-            z += rec
-        _activate_gates(z, scale, shift)
-        np.multiply(z[:, sl_i], z[:, sl_g], out=cells[t])
-        if t > 0:
-            cells[t] += z[:, sl_f] * cells[t - 1]
-        np.tanh(cells[t], out=tanh_c[t])
-        np.multiply(z[:, sl_o], tanh_c[t], out=hs[t])
-    out = np.ascontiguousarray(hs.transpose(1, 0, 2))
+    for t0 in range(0, t_len, chunk):
+        n = min(chunk, t_len - t0)
+        block = gates[:n]
+        x_tm = x[:, t0 : t0 + n].transpose(1, 0, 2).reshape(n * bsz, d_in)
+        np.matmul(x_tm, w_ih.T, out=block.reshape(n * bsz, four_h))
+        block += b
+        for t in range(t0, t0 + n):
+            z, c, tc = block[t - t0], cells[t % depth], tanh_c[t % depth]
+            if t > 0:
+                np.matmul(hs[t - 1], w_hh_t, out=rec)
+                z += rec
+            _activate_gates(z, scale, shift)
+            np.multiply(z[:, sl_i], z[:, sl_g], out=c)
+            if t > 0:
+                c += z[:, sl_f] * cells[(t - 1) % depth]
+            np.tanh(c, out=tc)
+            np.multiply(z[:, sl_o], tc, out=hs[t])
+    return (x, w_ih, w_hh, gates, cells, tanh_c, hs) if keep else None
 
-    def backward(grad_out):
-        g_tm = grad_out.transpose(1, 0, 2)
-        dz_all = np.empty((t_len, bsz, four_h), dtype=grad_out.dtype)
-        dh_next = np.zeros((bsz, h_size), dtype=grad_out.dtype)
-        dc_next = np.zeros_like(dh_next)
-        for t in range(t_len - 1, -1, -1):
-            z, tc, dz = gates[t], tanh_c[t], dz_all[t]
-            i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
-            dh = g_tm[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            dz[:, sl_i] = dc * g_ * i * (1.0 - i)
-            dz[:, sl_f] = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
-            dz[:, sl_g] = dc * i * (1.0 - g_ * g_)
-            dz[:, sl_o] = dh * tc * o * (1.0 - o)
-            dh_next = dz @ w_hh.data
-            dc_next = dc * f
-        dz2 = dz_all.reshape(t_len * bsz, four_h)
-        # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
-        _accum(w_hh, dz2[bsz:].T @ hs[:-1].reshape(-1, h_size))
-        _accum(b, dz2.sum(axis=0))
-        _accum(w_ih, dz2.T @ x.data.transpose(1, 0, 2).reshape(t_len * bsz, d_in))
-        _accum(x, np.matmul(dz_all, w_ih.data).transpose(1, 0, 2))
 
-    return make_node(out, (x, w_ih, w_hh, b), backward)
+def _lstm_backward(cache, grad):
+    """BPTT through one _lstm_forward(keep=True) direction for grad (B, T,
+    H) of its h. Returns (dx, dw_ih, dw_hh, db)."""
+    x, w_ih, w_hh, gates, cells, tanh_c, hs = cache
+    t_len, bsz, four_h = gates.shape
+    h_size = four_h // 4
+    sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
+    sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
+    g_tm = grad.transpose(1, 0, 2)
+    dz_all = np.empty((t_len, bsz, four_h), dtype=grad.dtype)
+    dh_next = np.zeros((bsz, h_size), dtype=grad.dtype)
+    dc_next = np.zeros_like(dh_next)
+    for t in range(t_len - 1, -1, -1):
+        z, tc, dz = gates[t], tanh_c[t], dz_all[t]
+        i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
+        dh = g_tm[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dz[:, sl_i] = dc * g_ * i * (1.0 - i)
+        dz[:, sl_f] = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
+        dz[:, sl_g] = dc * i * (1.0 - g_ * g_)
+        dz[:, sl_o] = dh * tc * o * (1.0 - o)
+        dh_next = dz @ w_hh
+        dc_next = dc * f
+    dz2 = dz_all.reshape(t_len * bsz, four_h)
+    # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
+    dw_hh = dz2[bsz:].T @ hs[:-1].reshape(-1, h_size)
+    db = dz2.sum(axis=0)
+    dw_ih = dz2.T @ x.transpose(1, 0, 2).reshape(t_len * bsz, x.shape[2])
+    dx = np.matmul(dz_all, w_ih).transpose(1, 0, 2)
+    return dx, dw_ih, dw_hh, db
+
+
+def lstm_cell_seq(x, fw, bw) -> Tensor:
+    """One bidirectional LSTM layer over a whole sequence, as one tape node.
+
+    x: (B, T, D); fw and bw: (w_ih (4H, D), w_hh (4H, H), b (4H,)) of the
+    forward and the backward direction. Gate order i, f, g, o; initial
+    hidden and cell state are zero. The bw direction runs over x reversed
+    in time. Returns (B, T, 2H): fw features first, then bw features in
+    input time order.
+
+    Forward and backward each run fw on the calling thread while a
+    one-thread worker runs bw, with BLAS held to one thread until both are
+    done (_pair). Without numpy's OpenBLAS thread controls, or with fewer
+    than 2 CPUs, both run here one after the other, through the same
+    kernels and to the same bytes. Gradients are accumulated on the calling
+    thread only. Under no_grad the forward keeps no per-step history.
+
+    The name is the one the single-direction op had: perfbench/tracing.py
+    wraps this function by name, so its spatial and CRN LSTM spans go on
+    timing the LSTM layers, and all thread work happens inside one traced
+    call.
+    """
+    x = as_tensor(x)
+    fw, bw = tuple(map(as_tensor, fw)), tuple(map(as_tensor, bw))
+    if x.ndim != 3:
+        raise ValueError(f"lstm_cell_seq expects (B,T,D), got {x.shape}")
+    h_fw, h_bw = _lstm_hidden(x, *fw), _lstm_hidden(x, *bw)
+    parents = (x, *fw, *bw)
+    keep = records(parents)
+    bsz, t_len, _ = x.shape
+    out = np.empty((bsz, t_len, h_fw + h_bw), dtype=x.dtype)
+    w_fw, w_bw = [p.data for p in fw], [p.data for p in bw]
+    cache_fw, cache_bw = _pair(
+        lambda: _lstm_forward(x.data, *w_fw, out[:, :, :h_fw], keep),
+        lambda: _lstm_forward(x.data[:, ::-1], *w_bw, out[:, ::-1, h_fw:], keep),
+    )
+
+    def backward(grad):
+        # bw takes its half in the output's dtype (a float32 copy under a
+        # float64 loss) and fw takes its half as it comes, as when the two
+        # directions were separate nodes and a reversing slice fed bw
+        grad_bw = grad[:, ::-1, h_fw:].astype(out.dtype, copy=False)
+        (dx, *d_fw), (dx_bw, *d_bw) = _pair(
+            lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw]),
+            lambda: _lstm_backward(cache_bw, grad_bw),
+        )
+        for p, g in zip(parents[1:], d_fw + d_bw):
+            _accum(p, g)
+        dx += dx_bw[:, ::-1]
+        _accum(x, dx)
+
+    return make_node(out, parents, backward)
 
 
 def init_lstm_params(
@@ -388,15 +533,11 @@ def lstm_seq(x, params: dict, hidden_size: int, layers: int) -> Tensor:
         raise ValueError(f"lstm_seq expects (T,D) or (B,T,D), got {x.shape}")
     out = x
     for layer in range(layers):
-        key = f"lstm.l{layer}"
-        fw = lstm_cell_seq(
-            out, params[f"{key}.fw.w_ih"], params[f"{key}.fw.w_hh"], params[f"{key}.fw.b"]
+        fw, bw = (
+            tuple(params[f"lstm.l{layer}.{dr}.{name}"] for name in ("w_ih", "w_hh", "b"))
+            for dr in ("fw", "bw")
         )
-        rev = out[:, ::-1]
-        bw = lstm_cell_seq(
-            rev, params[f"{key}.bw.w_ih"], params[f"{key}.bw.w_hh"], params[f"{key}.bw.b"]
-        )
-        out = concat([fw, bw[:, ::-1]], axis=2)
+        out = lstm_cell_seq(out, fw, bw)
     if squeeze:
         out = out.reshape(tuple(out.shape[1:]))
     return out

@@ -174,10 +174,15 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad = t.grad + g
 
 
+def records(parents) -> bool:
+    """Whether make_node records a node with these parents on the tape."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_node(data: np.ndarray, parents, backward_fn) -> Tensor:
     """Build a graph node. Falls back to a constant when grads are off."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

@@ -110,8 +110,13 @@ def test_c2_finite_difference_gradients():
     w_ih = r.standard_normal((8, 4)) * 0.4
     w_hh = r.standard_normal((8, 2)) * 0.4
     bl = r.standard_normal(8) * 0.1
-    check_grads(lambda x, a, h, b: L.lstm_cell_seq(x, a, h, b).sum(),
-                (xs, w_ih, w_hh, bl), rtol=1e-4)
+    # the bw direction's weights come from their own generator, so the
+    # composed check below keeps its data
+    rb = np.random.default_rng(4)
+    bw = (rb.standard_normal((8, 4)) * 0.4, rb.standard_normal((8, 2)) * 0.4,
+          rb.standard_normal(8) * 0.1)
+    check_grads(lambda x, *w: L.lstm_cell_seq(x, w[:3], w[3:]).sum(),
+                (xs, w_ih, w_hh, bl, *bw), rtol=1e-4)
 
     # composed: whole two-stage forward into the training loss, float64,
     # sampled coordinates per parameter at relative 1e-3

@@ -439,6 +439,22 @@ class TestCli:
         assert err.startswith(f"config error: {cfg}:1: ") and repr(line.split()[0]) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    @pytest.mark.parametrize("method, flag", [
+        ("wpe", "--delays 1,2"),
+        ("ds", "--speech-ref {d}/s.wav"),
+        ("filtersum", "--noise-ref {d}/n.wav"),
+        ("mvdr", "--model {d}/m.bin"),
+    ], ids=["delays-wpe", "speech_ref-ds", "noise_ref-filtersum", "model-mvdr"])
+    def test_flag_its_method_does_not_read_exits_2(self, tmp_path, capsys, method, flag):
+        """A flag that only another baseline method reads is refused before
+        the input (here missing, which would exit 1) is read."""
+        argv = ["baseline", method, "--in", str(tmp_path / "x.wav"),
+                "--out", str(tmp_path / "y.wav"), *flag.format(d=tmp_path).split()]
+        assert main(argv) == 2
+        name = flag.split()[0]
+        assert capsys.readouterr().err == f"error: {name} is not used by baseline {method}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_method_reads_its_own_keys(self, tmp_path):
         from mcse.wavio import write_wav
 

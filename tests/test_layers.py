@@ -5,13 +5,16 @@ a step-at-a-time numpy reimplementation, and every layer's backward
 against central finite differences.
 """
 
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import mcse.layers as L
-from mcse.tensor import Tensor
+from mcse.tensor import Tensor, no_grad
 
 from gradcheck import check_grads
 
@@ -284,19 +287,40 @@ class TestLinear:
 # -- LSTM ------------------------------------------------------------------------------
 
 
+def lstm_triple(h_, d_, scale=1.0):
+    """(w_ih, w_hh, b) of one direction, drawn from the module generator."""
+    return scale * r(4 * h_, d_), scale * r(4 * h_, h_), scale * r(4 * h_)
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Run the bidirectional op's bw direction on a worker thread, also
+    where this process may use only one CPU."""
+    if L._BLAS_THREADS is None:
+        pytest.skip("numpy's OpenBLAS thread controls are not available")
+    if L._BW_WORKER is not None:
+        yield
+        return
+    with ThreadPoolExecutor(1) as worker:
+        monkeypatch.setattr(L, "_BW_WORKER", worker)
+        yield
+
+
 class TestLstm:
     def test_forward_matches_step_oracle(self):
         b_, t_, d_, h_ = 3, 6, 4, 5
-        x, w_ih, w_hh, bias = r(b_, t_, d_), r(4 * h_, d_), r(4 * h_, h_), r(4 * h_)
-        got = L.lstm_cell_seq(x, w_ih, w_hh, bias).data
-        want = lstm_steps(x, w_ih, w_hh, bias)
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        x, fw, bw = r(b_, t_, d_), lstm_triple(h_, d_), lstm_triple(h_, d_)
+        got = L.lstm_cell_seq(x, fw, bw).data
+        assert got.shape == (b_, t_, 2 * h_)
+        np.testing.assert_allclose(got[..., :h_], lstm_steps(x, *fw), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got[..., h_:], lstm_steps(x[:, ::-1], *bw)[:, ::-1],
+                                   rtol=1e-10, atol=1e-12)
 
     def test_grad_all_inputs(self):
         b_, t_, d_, h_ = 2, 4, 3, 3
         check_grads(
-            lambda x, wi, wh, bb: (L.lstm_cell_seq(x, wi, wh, bb) ** 2).sum(),
-            [r(b_, t_, d_), r(4 * h_, d_), r(4 * h_, h_), r(4 * h_)],
+            lambda x, *w: (L.lstm_cell_seq(x, w[:3], w[3:]) ** 2).sum(),
+            [r(b_, t_, d_), *lstm_triple(h_, d_), *lstm_triple(h_, d_)],
             rtol=1e-3,
         )
 
@@ -305,11 +329,81 @@ class TestLstm:
         x = r(2, 5, 4)
         out = L.lstm_seq(x, params, hidden_size=3, layers=1).data
 
-        fw = L.lstm_cell_seq(x, params["lstm.l0.fw.w_ih"], params["lstm.l0.fw.w_hh"],
-                             params["lstm.l0.fw.b"]).data
-        bw = L.lstm_cell_seq(x[:, ::-1], params["lstm.l0.bw.w_ih"], params["lstm.l0.bw.w_hh"],
-                             params["lstm.l0.bw.b"]).data[:, ::-1]
+        fw = lstm_steps(x, *(params[f"lstm.l0.fw.{n}"].data for n in ("w_ih", "w_hh", "b")))
+        bw = lstm_steps(x[:, ::-1], *(params[f"lstm.l0.bw.{n}"].data
+                                      for n in ("w_ih", "w_hh", "b")))[:, ::-1]
         np.testing.assert_allclose(out, np.concatenate([fw, bw], axis=-1), rtol=1e-10)
+
+    def test_threaded_and_sequential_paths_are_byte_equal(self, threaded, monkeypatch):
+        """Both directions on two threads give the bytes of both on one,
+        forward and backward. BLAS is held at one thread for both runs, as
+        the threaded path holds it, so only the threading differs."""
+        b_, t_, d_, h_ = 256, 37, 16, 64
+        x = r(b_, t_, d_).astype(np.float32)
+        ws = [w.astype(np.float32) for w in (*lstm_triple(h_, d_, 0.3), *lstm_triple(h_, d_, 0.3))]
+        g = r(b_, t_, 2 * h_).astype(np.float32)
+
+        def run():
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, *ws)]
+            out = L.lstm_cell_seq(ts[0], ts[1:4], ts[4:])
+            (out * Tensor(g)).sum().backward()
+            return [out.data] + [t.grad for t in ts]
+
+        get, put = L._BLAS_THREADS
+        threads = get()
+        put(1)
+        try:
+            two = run()
+            monkeypatch.setattr(L, "_BW_WORKER", None)
+            one = run()
+        finally:
+            put(threads)
+        for a, b in zip(two, one):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("t_", [1, 32, 37])
+    def test_unrecorded_forward_matches_recorded(self, t_):
+        """Under no_grad the projection runs in blocks (32 steps at batch
+        256) and cell state in rings; the output matches the recorded
+        forward, which keeps every step."""
+        assert L._CHUNK_ROWS // 256 == 32
+        x = r(256, t_, 8).astype(np.float32)
+        fw, bw = ([w.astype(np.float32) for w in lstm_triple(16, 8, 0.5)] for _ in range(2))
+        recorded = L.lstm_cell_seq(Tensor(x, requires_grad=True), fw, bw)
+        assert recorded.requires_grad
+        with no_grad():
+            plain = L.lstm_cell_seq(x, fw, bw)
+        assert not plain.requires_grad
+        np.testing.assert_allclose(plain.data, recorded.data, rtol=1e-6, atol=0)
+
+    def test_caller_errstate_reaches_the_worker(self, threaded):
+        """An invalid operation in the bw direction alone, which runs on the
+        worker, raises under the caller's np.errstate."""
+        x = np.full((2, 3, 4), -np.inf)
+        w_ih = 1.0 + np.abs(r(8, 4))  # x @ w_ih.T is -inf everywhere
+        fw = (w_ih, r(8, 2), r(8))
+        with np.errstate(invalid="raise"):
+            L.lstm_cell_seq(x, fw, fw)  # -inf projections alone are valid
+            with pytest.raises(FloatingPointError):
+                L.lstm_cell_seq(x, fw, (w_ih, r(8, 2), np.full(8, np.inf)))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_the_layer(self, threaded):
+        """A child forked after the worker has run gets a worker of its own
+        instead of waiting on the parent's, which does not exist there."""
+        x = r(2, 5, 4).astype(np.float32)
+        fw, bw = lstm_triple(3, 4), lstm_triple(3, 4)
+        want = L.lstm_cell_seq(x, fw, bw).data
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=lambda: queue.put(L.lstm_cell_seq(x, fw, bw).data))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+        np.testing.assert_array_equal(queue.get(timeout=5), want)
 
     def test_stacked_shapes(self):
         params = L.init_lstm_params(rng, 6, 4, layers=2, dtype=np.float64)
@@ -362,10 +456,10 @@ class TestGateActivation:
         b_, t_, d_, h_ = 3, 6, 4, 5
         x = Tensor((1e3 * r(b_, t_, d_)).astype(np.float32), requires_grad=True)
         ps = [Tensor(r(*s).astype(np.float32), requires_grad=True)
-              for s in ((4 * h_, d_), (4 * h_, h_), (4 * h_,))]
+              for s in ((4 * h_, d_), (4 * h_, h_), (4 * h_,)) * 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = L.lstm_cell_seq(x, *ps)
+            out = L.lstm_cell_seq(x, ps[:3], ps[3:])
             (out * out).sum().backward()
         assert np.all(np.isfinite(out.data)) and np.all(np.abs(out.data) <= 1.0)
         assert all(np.all(np.isfinite(t.grad)) for t in [x, *ps])
