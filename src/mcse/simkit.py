@@ -58,8 +58,7 @@ class SceneSpec:
         if len(self.room) != 3 or any(d <= 0 for d in self.room):
             raise ValueError("room dimensions must be three positive lengths")
         self.absorption = _wall_absorption(self.absorption)
-        if self.max_image_order < 0:
-            raise ValueError("max_image_order must be nonnegative")
+        _check_counts(self.sample_rate, self.max_image_order)
         if self.array_center is None:
             self.array_center = (self.room[0] / 2.0, self.room[1] / 2.0, ARRAY_HEIGHT)
         for name, pos in (("source", self.source_position), ("noise", self.noise_position)):
@@ -104,6 +103,14 @@ def _wall_absorption(a) -> tuple:
     return vals
 
 
+def _check_counts(sample_rate, max_image_order):
+    """Reject a rate or reflection order that would render a wrong or empty RIR."""
+    for name, value, low, kind in (("sample_rate", sample_rate, 1, "positive"),
+                                   ("max_image_order", max_image_order, 0, "nonnegative")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _check_inside(pos, room, name):
     if len(pos) != 3:
         raise ValueError(f"{name} position must have 3 coordinates")
@@ -134,21 +141,6 @@ class RoomImpulseResponse:
     @property
     def channels(self) -> int:
         return self.taps.shape[0]
-
-
-def _sinc_pulse(tau: float, amp: float, out: np.ndarray):
-    """Accumulate a windowed-sinc pulse centered at fractional delay tau."""
-    w = SINC_HALF_WIDTH
-    lo = int(np.ceil(tau - w))
-    hi = int(np.floor(tau + w))
-    lo = max(lo, 0)
-    if hi >= out.shape[0]:
-        hi = out.shape[0] - 1
-    if hi < lo:
-        return
-    n = np.arange(lo, hi + 1)
-    t = n - tau
-    out[n] += amp * np.sinc(t) * (0.5 + 0.5 * np.cos(np.pi * t / w))
 
 
 def _image_sources(scene: SceneSpec, src: np.ndarray):
@@ -211,13 +203,25 @@ def simulate_rir(scene: SceneSpec, emitter: str = "source") -> RoomImpulseRespon
     max_delay = d_all[live].max() / SPEED_OF_SOUND * fs
     length = int(np.ceil(max_delay)) + SINC_HALF_WIDTH + 2
 
-    taps = np.zeros((mics.shape[0], length))
+    # each image adds a windowed-sinc pulse at its fractional delay tau,
+    # clipped to the taps; one (images, 2W + 1) array per microphone, which
+    # bincount adds in image order, as adding each pulse in turn would
+    w = SINC_HALF_WIDTH
+    offsets = np.arange(2 * w + 1)
+    taps = np.empty((mics.shape[0], length))
     for p in range(mics.shape[0]):
         dist = d_all[live, p]
         tau = dist / SPEED_OF_SOUND * fs
         gain = amps[live] / (4.0 * np.pi * dist)
-        for t_k, g_k in zip(tau, gain):
-            _sinc_pulse(t_k, g_k, taps[p])
+        lo = np.maximum(np.ceil(tau - w), 0).astype(np.int64)
+        hi = np.minimum(np.floor(tau + w), length - 1).astype(np.int64)
+        idx = lo[:, None] + offsets
+        keep = idx <= hi[:, None]
+        counts = keep.sum(axis=1)
+        n = idx[keep]
+        t = n - np.repeat(tau, counts)
+        vals = np.repeat(gain, counts) * np.sinc(t) * (0.5 + 0.5 * np.cos(np.pi * t / w))
+        taps[p] = np.bincount(n, weights=vals, minlength=length)
     return RoomImpulseResponse(taps, fs)
 
 
@@ -334,6 +338,7 @@ class DatasetConfig:
             raise ValueError("seconds must be positive")
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("snr_db_min must not exceed snr_db_max")
+        _check_counts(self.sample_rate, self.max_image_order)
 
 
 def _format_pos(pos) -> str:

@@ -455,6 +455,15 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {name} is not used by baseline {method}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_simulate_zero_sample_rate_exits_1(self, tmp_path, capsys):
+        """A zero rate is refused with its name and value before the output
+        directory is created."""
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("sample_rate = 0\n")
+        assert main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: sample_rate must be a positive integer, got 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
+
     def test_method_reads_its_own_keys(self, tmp_path):
         from mcse.wavio import write_wav
 

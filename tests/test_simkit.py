@@ -18,6 +18,7 @@ from mcse.simkit import (
     DatasetConfig,
     RoomImpulseResponse,
     SceneSpec,
+    _image_sources,
     build_dataset,
     candidate_positions,
     mix,
@@ -40,6 +41,30 @@ def sinc_pulse_oracle(tau, amp, length):
         0.5 + 0.5 * np.cos(np.pi * t[inside] / SINC_HALF_WIDTH)
     )
     return out
+
+
+def rir_loop_oracle(scene: SceneSpec, emitter: str = "source") -> np.ndarray:
+    """The renderer's taps accumulated one image's pulse at a time, in image
+    order; simulate_rir must reproduce them byte for byte."""
+    src = np.asarray(scene.source_position if emitter == "source" else scene.noise_position,
+                     dtype=np.float64)
+    mics = scene.mic_positions()
+    positions, amps = _image_sources(scene, src)
+    fs = scene.sample_rate
+    d_all = np.linalg.norm(positions[:, None, :] - mics[None, :, :], axis=2)
+    live = amps > 0.0
+    length = int(np.ceil(d_all[live].max() / SPEED_OF_SOUND * fs)) + SINC_HALF_WIDTH + 2
+    w = SINC_HALF_WIDTH
+    taps = np.zeros((mics.shape[0], length))
+    for p in range(mics.shape[0]):
+        dist = d_all[live, p]
+        for tau, amp in zip(dist / SPEED_OF_SOUND * fs, amps[live] / (4.0 * np.pi * dist)):
+            lo = max(int(np.ceil(tau - w)), 0)
+            hi = min(int(np.floor(tau + w)), length - 1)
+            n = np.arange(lo, hi + 1)
+            t = n - tau
+            taps[p, n] += amp * np.sinc(t) * (0.5 + 0.5 * np.cos(np.pi * t / w))
+    return taps
 
 
 def onset_sample(h: np.ndarray, fraction: float = 0.1) -> int:
@@ -74,6 +99,20 @@ class TestSceneSpec:
             SceneSpec(source_position=(7.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             SceneSpec(noise_position=(1.0, 1.0, -0.5))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_rate", 0, "sample_rate must be a positive integer, got 0"),
+        ("sample_rate", -16000, "sample_rate must be a positive integer, got -16000"),
+        ("sample_rate", 16000.5, "sample_rate must be a positive integer, got 16000.5"),
+        ("max_image_order", 2.5, "max_image_order must be a nonnegative integer, got 2.5"),
+        ("max_image_order", -1, "max_image_order must be a nonnegative integer, got -1"),
+    ])
+    @pytest.mark.parametrize("cls", [SceneSpec, DatasetConfig])
+    def test_bad_rate_or_order_raises(self, cls, key, value, message):
+        """A rate or order that would render an empty or wrong RIR fails at
+        construction, naming the field and the value."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(**{key: value})
 
     def test_hash_tracks_content(self):
         a = SceneSpec()
@@ -190,6 +229,22 @@ class TestRir:
         expect = r / SPEED_OF_SOUND * scene.sample_rate
         assert abs(np.argmax(np.abs(rn.taps[0])) - expect) <= 1.0
         assert rs.taps.shape[0] == rn.taps.shape[0] == 8
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_image_order": 0},
+        {"max_image_order": 2},
+        {"max_image_order": 6},
+        {"max_image_order": 6, "absorption": (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)},
+        {"absorption": 1.0},
+        {"sample_rate": 8000, "max_image_order": 4},
+        # 4 cm from microphone 0: its direct-path pulse is clipped at sample 0
+        {"source_position": tuple(SceneSpec().mic_positions()[0] + [0.04, 0.0, 0.0])},
+    ], ids=["order0", "order2", "order6", "per_wall", "anechoic", "fs8000", "clipped_at_0"])
+    @pytest.mark.parametrize("emitter", ["source", "noise"])
+    def test_taps_equal_pulse_loop(self, kwargs, emitter):
+        scene = SceneSpec(**kwargs)
+        np.testing.assert_array_equal(simulate_rir(scene, emitter).taps,
+                                      rir_loop_oracle(scene, emitter))
 
     def test_unknown_emitter_raises(self):
         with pytest.raises(ValueError):
