@@ -58,7 +58,7 @@ class SceneSpec:
         if len(self.room) != 3 or any(d <= 0 for d in self.room):
             raise ValueError("room dimensions must be three positive lengths")
         self.absorption = _wall_absorption(self.absorption)
-        _check_counts(self.sample_rate, self.max_image_order)
+        _check_rate_and_order(self.sample_rate, self.max_image_order)
         if self.array_center is None:
             self.array_center = (self.room[0] / 2.0, self.room[1] / 2.0, ARRAY_HEIGHT)
         for name, pos in (("source", self.source_position), ("noise", self.noise_position)):
@@ -103,7 +103,7 @@ def _wall_absorption(a) -> tuple:
     return vals
 
 
-def _check_counts(sample_rate, max_image_order):
+def _check_rate_and_order(sample_rate, max_image_order):
     """Reject a rate or reflection order that would render a wrong or empty RIR."""
     for name, value, low, kind in (("sample_rate", sample_rate, 1, "positive"),
                                    ("max_image_order", max_image_order, 0, "nonnegative")):
@@ -338,7 +338,7 @@ class DatasetConfig:
             raise ValueError("seconds must be positive")
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("snr_db_min must not exceed snr_db_max")
-        _check_counts(self.sample_rate, self.max_image_order)
+        _check_rate_and_order(self.sample_rate, self.max_image_order)
 
 
 def _format_pos(pos) -> str:

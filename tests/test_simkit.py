@@ -106,8 +106,8 @@ class TestSceneSpec:
         ("sample_rate", 16000.5, "sample_rate must be a positive integer, got 16000.5"),
         ("max_image_order", 2.5, "max_image_order must be a nonnegative integer, got 2.5"),
         ("max_image_order", -1, "max_image_order must be a nonnegative integer, got -1"),
-    ])
-    @pytest.mark.parametrize("cls", [SceneSpec, DatasetConfig])
+    ], ids=["rate_zero", "rate_negative", "rate_fractional", "order_fractional", "order_negative"])
+    @pytest.mark.parametrize("cls", [SceneSpec, DatasetConfig], ids=lambda c: c.__name__)
     def test_bad_rate_or_order_raises(self, cls, key, value, message):
         """A rate or order that would render an empty or wrong RIR fails at
         construction, naming the field and the value."""
