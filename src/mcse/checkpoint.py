@@ -35,11 +35,17 @@ def _write_tensors(fh, tensors: dict):
         fh.write(data.tobytes())
 
 
-def _read(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"checkpoint is truncated: {what} needs {n} bytes, found {len(data)}")
-    return data
+def _read_into(fh, buf, what: str):
+    """Fill buf (a bytearray or a C-contiguous array) from fh; returns buf."""
+    need = memoryview(buf).nbytes
+    got = fh.readinto(buf)
+    if got != need:
+        raise ValueError(f"checkpoint is truncated: {what} needs {need} bytes, found {got}")
+    return buf
+
+
+def _read(fh, n: int, what: str) -> bytearray:
+    return _read_into(fh, bytearray(n), what)
 
 
 def _read_tensors(fh) -> dict:
@@ -52,8 +58,8 @@ def _read_tensors(fh) -> dict:
         where = f"tensor {name!r}"
         (rank,) = struct.unpack("<B", _read(fh, 1, where))
         shape = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, where))
-        n = int(np.prod(shape)) if shape else 1
-        out[name] = np.frombuffer(_read(fh, 4 * n, where), dtype="<f4").reshape(shape).copy()
+        # read straight into the tensor's own array
+        out[name] = _read_into(fh, np.empty(shape, dtype="<f4"), where)
     return out
 
 

@@ -139,12 +139,25 @@ def init_crn_params(config: CrnConfig, rng: np.random.Generator, dtype=np.float3
 def _block(layer, x, p: CrnParams, name: str, training: bool):
     """layer, then batchnorm and PReLU. layer is conv2d (F -> F/2) or
     deconv2d (F -> 2F), both with the fixed (1, 3) kernel, frequency
-    stride 2 and padding 1 that layers.py defines."""
-    h = layer(x, p.params[f"{name}.w"], p.params[f"{name}.b"])
-    h = L.batchnorm2d(
-        h, p.params[f"{name}.bn.gamma"], p.params[f"{name}.bn.beta"],
-        p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"], training,
-    )
+    stride 2 and padding 1 that layers.py defines.
+
+    In eval mode batchnorm is the fixed per-channel map (h - mean) * s +
+    beta with s = gamma / sqrt(var + eps), so it is folded into the layer:
+    one conv with weight w * s and bias (b - mean) * s + beta. The fold is
+    built from Tensor ops, so gradients reach w, b, gamma and beta through
+    it, and the running buffers are only read.
+    """
+    w, b = p.params[f"{name}.w"], p.params[f"{name}.b"]
+    gamma, beta = p.params[f"{name}.bn.gamma"], p.params[f"{name}.bn.beta"]
+    mean, var = p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"]
+    if training:
+        h = L.batchnorm2d(layer(x, w, b), gamma, beta, mean, var)
+    else:
+        dtype = gamma.dtype
+        s = gamma * (1.0 / np.sqrt(var.astype(dtype) + L.BN_EPS))
+        # output channels are axis 0 of a conv2d kernel, axis 1 of a deconv2d one
+        s_w = s.reshape((1, -1, 1, 1) if layer is L.deconv2d else (-1, 1, 1, 1))
+        h = layer(x, w * s_w, (b - mean.astype(dtype)) * s + beta)
     return L.prelu(h, p.params[f"{name}.prelu.a"])
 
 

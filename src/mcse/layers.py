@@ -50,10 +50,19 @@ def _check_conv(name, x, w, c_axis):
         raise ValueError(f"{name} output would be empty for input {x.shape}")
 
 
-def _taps(xp, f_out):
-    """(C, T, F + 2) padded input -> (C * 3, T * f_out) stride-2 tap matrix."""
-    c, t_len, _ = xp.shape
-    cols = np.stack([xp[:, :, e : e + 2 * f_out - 1 : 2] for e in range(3)], axis=1)
+def _taps(x, f_out):
+    """(C, T, F) input -> (C * 3, T * f_out) stride-2 tap matrix of the
+    input zero-padded by one bin on each side; the padding is written into
+    the matrix, never into a padded copy of the input."""
+    c, t_len, f_in = x.shape
+    cols = np.empty((c, 3, t_len, f_out), dtype=x.dtype)
+    # tap e of output bin j reads input bin 2j + e - 1
+    cols[:, 0, :, 0] = 0.0
+    cols[:, 0, :, 1:] = x[:, :, 1 : 2 * f_out - 2 : 2]
+    cols[:, 1] = x[:, :, 0::2]
+    cols[:, 2, :, : f_in // 2] = x[:, :, 1::2]
+    if f_in % 2:
+        cols[:, 2, :, -1] = 0.0
     return cols.reshape(c * 3, t_len * f_out)
 
 
@@ -65,9 +74,8 @@ def conv2d(x, w, b=None) -> Tensor:
     c_out, c_in = w.shape[:2]
     _, t_len, f_in = x.shape
     f_out = (f_in + 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1)))
     w2 = w.data.reshape(c_out, c_in * 3)
-    out = (w2 @ _taps(xp, f_out)).reshape(c_out, t_len, f_out)
+    out = (w2 @ _taps(x.data, f_out)).reshape(c_out, t_len, f_out)
     if b is not None:
         b = as_tensor(b)
         out += b.data[:, None, None]
@@ -78,12 +86,14 @@ def conv2d(x, w, b=None) -> Tensor:
         if b is not None:
             _accum(b, g.sum(axis=(1, 2)))
         g2 = g.reshape(c_out, t_len * f_out)
-        _accum(w, (g2 @ _taps(xp, f_out).T).reshape(w.shape))
+        _accum(w, (g2 @ _taps(x.data, f_out).T).reshape(w.shape))
         dcols = (w2.T @ g2).reshape(c_in, 3, t_len, f_out)
-        dxp = np.zeros_like(xp)
-        for e in range(3):
-            dxp[:, :, e : e + 2 * f_out - 1 : 2] += dcols[:, e]
-        _accum(x, dxp[:, :, 1 : f_in + 1])
+        # the adjoint of _taps, summed in the tap order 0, 1, 2 in x's dtype
+        dx = np.zeros_like(x.data)
+        dx[:, :, 1 : 2 * f_out - 2 : 2] += dcols[:, 0, :, 1:]
+        dx[:, :, 0::2] += dcols[:, 1]
+        dx[:, :, 1::2] += dcols[:, 2, :, : f_in // 2]
+        _accum(x, dx)
 
     return make_node(out, parents, backward)
 
@@ -98,14 +108,20 @@ def deconv2d(x, w, b=None) -> Tensor:
     x2 = x.data.reshape(c_in, t_len * f_in)
     wm = w.data[:, :, 0, :].transpose(2, 1, 0).reshape(3 * c_out, c_in)
     taps = (wm @ x2).reshape(3, c_out, t_len, f_in)
-    # tap e of input bin f lands on output bin 2f + e - 1
-    out = np.empty((c_out, t_len, 2 * f_in), dtype=taps.dtype)
-    out[:, :, 0::2] = taps[1]
-    out[:, :, 1::2] = taps[2]
-    out[:, :, 1:-2:2] += taps[0, :, :, 1:]
+    # tap e of input bin f lands on output bin 2f + e - 1: even bins are
+    # tap 1 + b, odd ones (tap 2 + tap 0 of the next bin) + b. Tap 0 of bin
+    # 0 lands outside; as -0.0 it adds nothing (x + -0.0 is x, bit for
+    # bit), so tap 0 is added to tap 2 over the flat rows, in place
+    taps[0, :, :, 0] = -0.0
+    flat = taps.reshape(3, -1)
+    flat[2, :-1] += flat[0, 1:]
     if b is not None:
         b = as_tensor(b)
-        out += b.data[:, None, None]
+        taps[1:] += b.data[:, None, None]
+    out = np.empty((c_out * t_len * f_in, 2), dtype=taps.dtype)
+    out[:, 0] = flat[1]
+    out[:, 1] = flat[2]
+    out = out.reshape(c_out, t_len, 2 * f_in)
 
     parents = (x, w) if b is None else (x, w, b)
 
@@ -128,22 +144,23 @@ def deconv2d(x, w, b=None) -> Tensor:
 # -- normalization ---------------------------------------------------------------
 
 
+BN_EPS = 1e-5
+
+
 def batchnorm2d(
     x,
     gamma,
     beta,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    training: bool,
     momentum: float = 0.1,
-    eps: float = 1e-5,
+    eps: float = BN_EPS,
 ) -> Tensor:
-    """Per-channel normalization of a (C, T, F) sample.
-
-    Train mode normalizes with the sample's own (T, F) statistics and
-    updates the running buffers in place (biased variance for the
-    normalization, unbiased for the running buffer). Eval mode uses the
-    running buffers as constants.
+    """Per-channel normalization of a (C, T, F) sample by its own (T, F)
+    statistics, as in training. Updates the running buffers in place
+    (biased variance for the normalization, unbiased for the running
+    buffer). Eval mode has no op here: crn._block folds the running
+    buffers into the conv before it.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 3:
@@ -153,20 +170,13 @@ def batchnorm2d(
         raise ValueError("batchnorm2d parameter shape mismatch")
     n = x.shape[1] * x.shape[2]
 
-    if training:
-        mean = x.data.mean(axis=(1, 2))
-        var = x.data.var(axis=(1, 2))
-        if n > 1:
-            unbiased = var * (n / (n - 1.0))
-        else:
-            unbiased = var
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased.astype(running_var.dtype)
-    else:
-        mean = running_mean.astype(x.data.dtype)
-        var = running_var.astype(x.data.dtype)
+    mean = x.data.mean(axis=(1, 2))
+    var = x.data.var(axis=(1, 2))
+    unbiased = var * (n / (n - 1.0)) if n > 1 else var
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.astype(running_mean.dtype)
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased.astype(running_var.dtype)
 
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
@@ -176,13 +186,9 @@ def batchnorm2d(
         _accum(gamma, (g * xhat).sum(axis=(1, 2)))
         _accum(beta, g.sum(axis=(1, 2)))
         gx = g * gamma.data[:, None, None]
-        if training:
-            s1 = gx.sum(axis=(1, 2), keepdims=True)
-            s2 = (gx * xhat).sum(axis=(1, 2), keepdims=True)
-            dx = (inv_std[:, None, None] / n) * (n * gx - s1 - xhat * s2)
-        else:
-            dx = gx * inv_std[:, None, None]
-        _accum(x, dx)
+        s1 = gx.sum(axis=(1, 2), keepdims=True)
+        s2 = (gx * xhat).sum(axis=(1, 2), keepdims=True)
+        _accum(x, (inv_std[:, None, None] / n) * (n * gx - s1 - xhat * s2))
 
     return make_node(out, (x, gamma, beta), backward)
 
@@ -215,18 +221,23 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def prelu(x, a) -> Tensor:
-    """Per-channel parametric ReLU on a channel-first tensor; a: (C,)."""
+    """Per-channel parametric ReLU on a channel-first tensor; a: (C,).
+
+    The forward is min(x, 0) * a + max(x, 0): for finite slopes it equals
+    np.where(x < 0, a * x, x) under ==, infinities and NaN included, and
+    only the sign of a zero result may differ. The sign mask is built only
+    when the node is recorded, by its backward.
+    """
     x, a = as_tensor(x), as_tensor(a)
     if a.ndim != 1 or a.shape[0] != x.shape[0]:
         raise ValueError(f"prelu slope shape {a.shape} does not match channels {x.shape[0]}")
     a_b = a.data.reshape((x.shape[0],) + (1,) * (x.ndim - 1))
-    neg = x.data < 0
-    # slope where x < 0 and 1 elsewhere, times x: the bytes of
-    # np.where(neg, a_b * x, x) with one full-size temporary fewer
-    out = np.where(neg, a_b, 1.0).astype(np.result_type(x.data, a_b), copy=False)
-    np.multiply(out, x.data, out=out)
+    out = np.minimum(x.data, 0).astype(np.result_type(x.data, a_b), copy=False)
+    out *= a_b
+    out += np.maximum(x.data, 0)
 
     def backward(g):
+        neg = x.data < 0
         axes = tuple(range(1, x.ndim))
         _accum(a, np.where(neg, g * x.data, 0.0).sum(axis=axes))
         _accum(x, np.where(neg, g * a_b, g))
@@ -390,7 +401,7 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     cells = np.empty((depth, bsz, h_size), dtype=dtype)
     tanh_c = np.empty_like(cells)
     hs = out.transpose(1, 0, 2)
-    w_hh_t = np.ascontiguousarray(w_hh.T)
+    w_hh_t = w_hh.T  # a view: BLAS reads it transposed, with no per-call copy
     scale, shift = _gate_constants(h_size, dtype)
     rec = np.empty((bsz, four_h), dtype=dtype)
     for t0 in range(0, t_len, chunk):

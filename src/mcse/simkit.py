@@ -299,12 +299,16 @@ def synth_speech(rng: np.random.Generator, n: int, fs: int = SAMPLE_RATE) -> Tim
     return TimeSignal(0.3 * sig[None, :], fs)
 
 
+# taps of synth_noise's smoothing kernel, and so the fewest samples it can render
+NOISE_KERNEL = 17
+
+
 def synth_noise(rng: np.random.Generator, n: int, fs: int = SAMPLE_RATE) -> TimeSignal:
     """Interferer: band-limited noise bursts over a low hum and a chirp."""
     t = np.arange(n) / fs
     base = rng.standard_normal(n)
     # crude band-limit via cumulative smoothing
-    kernel = np.hanning(17)
+    kernel = np.hanning(NOISE_KERNEL)
     kernel /= kernel.sum()
     base = np.convolve(base, kernel, mode="same")
     bursts = (np.sin(2.0 * np.pi * rng.uniform(1.0, 3.0) * t + rng.uniform(0, 2 * np.pi)) > 0.1)
@@ -339,6 +343,18 @@ class DatasetConfig:
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("snr_db_min must not exceed snr_db_max")
         _check_rate_and_order(self.sample_rate, self.max_image_order)
+        n = int(round(self.seconds * self.sample_rate))
+        if n < NOISE_KERNEL:
+            raise ValueError(
+                f"seconds = {self.seconds} gives {n} samples at {self.sample_rate} Hz; "
+                f"at least {NOISE_KERNEL} are needed"
+            )
+        # a scene between two corners of the candidate grid checks the room,
+        # the absorption and the arrays before build_dataset writes anything
+        grid = candidate_positions(self.room)
+        SceneSpec(room=self.room, absorption=self.absorption, source_position=tuple(grid[0]),
+                  noise_position=tuple(grid[-1]), max_image_order=self.max_image_order,
+                  sample_rate=self.sample_rate).mic_positions()
 
 
 def _format_pos(pos) -> str:

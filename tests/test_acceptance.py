@@ -97,7 +97,7 @@ def test_c2_finite_difference_gradients():
     rm = np.zeros(3)
     rv = np.ones(3)
     check_grads(
-        lambda x, g, be: L.batchnorm2d(x, g, be, rm.copy(), rv.copy(), training=True).sum(),
+        lambda x, g, be: L.batchnorm2d(x, g, be, rm.copy(), rv.copy()).sum(),
         (x, g, be), rtol=1e-4,
     )
     gl = r.standard_normal(8)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from crn_trace import trace_crn
-from mcse.crn import BASE_CHANNELS, CrnConfig, crn_forward, init_crn_params
+from gradcheck import check_grads
+from mcse import layers as L
+from mcse.crn import BASE_CHANNELS, CrnConfig, CrnParams, _block, crn_forward, init_crn_params
 
 rng = np.random.default_rng(3)
 
@@ -170,6 +172,90 @@ class TestForward:
         # the block biases included, must see a nonzero gradient
         g = grads(training=False)
         assert [k for k, v in g.items() if v is None or np.all(v == 0.0)] == []
+
+
+def eval_batchnorm(h, gamma, beta, mean, var):
+    """Eval-mode batchnorm as the unfused per-channel map over (C, T, F)."""
+    c = (slice(None), None, None)
+    return gamma[c] * (h - mean[c]) / np.sqrt(var[c] + L.BN_EPS) + beta[c]
+
+
+def block_params(name, w, b, gamma, beta, slope, mean, var):
+    """A CrnParams holding the one block `name`; the running buffers are
+    the arrays given, not copies."""
+    params = {f"{name}.w": w, f"{name}.b": b, f"{name}.bn.gamma": gamma,
+              f"{name}.bn.beta": beta, f"{name}.prelu.a": slope}
+    return CrnParams(None, params, {f"{name}.bn.mean": mean, f"{name}.bn.var": var})
+
+
+class TestEvalBlockFold:
+    """In eval mode crn._block folds batchnorm into its conv or deconv."""
+
+    def test_eval_mode_uses_buffers_and_leaves_them_alone(self):
+        frng = np.random.default_rng(11)
+        x, w, b = frng.standard_normal((3, 4, 4)), frng.standard_normal((2, 3, 1, 3)), np.ones(2)
+        rm = np.array([1.0, -1.0])
+        rv = np.array([4.0, 0.25])
+        gamma, beta = np.array([2.0, 1.0]), np.array([0.5, 0.0])
+        # slope 1 makes the PReLU the identity, so the block is conv + batchnorm
+        p = block_params("enc0", w, b, gamma, beta, np.ones(2), rm, rv)
+        out = _block(L.conv2d, x, p, "enc0", False).data
+        want = eval_batchnorm(L.conv2d(x, w, b).data, gamma, beta, rm, rv)
+        np.testing.assert_allclose(out, want, rtol=1e-10)
+        np.testing.assert_allclose(rm, [1.0, -1.0])
+        np.testing.assert_allclose(rv, [4.0, 0.25])
+
+    @pytest.mark.parametrize("width", [Fraction(1, 8), Fraction(1)], ids=["w1_8", "w1"])
+    def test_fold_matches_unfused_on_ladder(self, width):
+        """Every block of the stage-1 CRN at this width, in float64, with
+        non-trivial running buffers, against conv/deconv, then eval
+        batchnorm, then PReLU."""
+        cfg = CrnConfig(16, 16, width, 256)
+        frng = np.random.default_rng(12)
+        p = init_crn_params(cfg, frng, dtype=np.float64)
+        for k, t in p.params.items():
+            if not k.startswith("lstm") and not k.endswith(".w"):
+                t.data = t.data + 0.3 * frng.standard_normal(t.shape)
+        for k, buf in p.buffers.items():
+            buf[...] = frng.standard_normal(buf.shape) if k.endswith("mean") else frng.uniform(
+                0.2, 3.0, buf.shape)
+        kept = {k: v.copy() for k, v in p.buffers.items()}
+        t_len = 3
+        blocks = [(L.conv2d, f"enc{i}", c, cfg.freq_bins >> i)
+                  for i, c in enumerate((cfg.c_in,) + cfg.ladder[:-1])]
+        blocks += [(L.deconv2d, f"dec_re{i}", c, cfg.f_bottleneck << i)
+                   for i, c in enumerate(cfg.decoder_in_channels())]
+        for layer, name, c, f in blocks:
+            x = frng.standard_normal((c, t_len, f))
+            got = _block(layer, x, p, name, False).data
+            pr = {k[len(name) + 1:]: p.params[k].data for k in p.params if k.startswith(name + ".")}
+            h = eval_batchnorm(layer(x, pr["w"], pr["b"]).data, pr["bn.gamma"], pr["bn.beta"],
+                               p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"])
+            want = L.prelu(h, pr["prelu.a"]).data
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
+        for k, v in kept.items():
+            np.testing.assert_array_equal(p.buffers[k], v, err_msg=k)
+
+    def test_grad_eval_mode(self):
+        frng = np.random.default_rng(13)
+        rm = frng.standard_normal(2)
+        rv = np.abs(frng.standard_normal(2)) + 0.5
+        kept = rm.copy(), rv.copy()
+        slope = np.array([0.25, -0.5])
+        for layer, x, w in ((L.conv2d, frng.standard_normal((3, 3, 4)),
+                             frng.standard_normal((2, 3, 1, 3))),
+                            (L.deconv2d, frng.standard_normal((3, 3, 4)),
+                             frng.standard_normal((3, 2, 1, 3)))):
+
+            def loss(x, w, b, g, be, a):
+                p = block_params("blk", w, b, g, be, a, rm, rv)
+                return (_block(layer, x, p, "blk", False) ** 2).sum()
+
+            check_grads(loss, [x, w, frng.standard_normal(2), 1.0 + 0.1 * frng.standard_normal(2),
+                               frng.standard_normal(2), slope])
+        np.testing.assert_array_equal(rm, kept[0])
+        np.testing.assert_array_equal(rv, kept[1])
 
 
 class TestBaseChannels:

@@ -464,6 +464,19 @@ class TestCli:
         assert capsys.readouterr().err == "error: sample_rate must be a positive integer, got 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
 
+    @pytest.mark.parametrize("line, message", [
+        ("seconds = 0.00001", "seconds = 1e-05 gives 0 samples at 16000 Hz; at least 17 are needed"),
+        ("absorption = 1.5", "absorption must lie in [0, 1]"),
+        ("room_x = 1.0", "room too small for the candidate grid"),
+    ], ids=["zero_samples", "absorption", "room_x"])
+    def test_simulate_bad_dataset_exits_1(self, tmp_path, capsys, line, message):
+        """Each is refused by name before the output directory is created."""
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
+
     def test_method_reads_its_own_keys(self, tmp_path):
         from mcse.wavio import write_wav
 

@@ -12,6 +12,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mcse.layers as L
 from mcse.tensor import Tensor, no_grad
@@ -62,6 +65,46 @@ def deconv2d_loops(x, w, b):
     if b is not None:
         out = out + b[:, None, None]
     return out
+
+
+def conv2d_padded_gemm(x, w, b, g):
+    """conv2d's forward and its input gradient for upstream g, as one GEMM
+    over a zero-padded copy of x, scattered back in tap order 0, 1, 2."""
+    c_out, c_in = w.shape[:2]
+    _, t_len, f_in = x.shape
+    f_out = (f_in + 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
+    cols = np.stack([xp[:, :, e : e + 2 * f_out - 1 : 2] for e in range(3)], axis=1)
+    w2 = w.reshape(c_out, c_in * 3)
+    out = (w2 @ cols.reshape(c_in * 3, t_len * f_out)).reshape(c_out, t_len, f_out)
+    out += b[:, None, None]
+    dcols = (w2.T @ g.reshape(c_out, t_len * f_out)).reshape(c_in, 3, t_len, f_out)
+    dxp = np.zeros_like(xp)
+    for e in range(3):
+        dxp[:, :, e : e + 2 * f_out - 1 : 2] += dcols[:, e]
+    return out, dxp[:, :, 1 : f_in + 1]
+
+
+def deconv2d_strided(x, w, b=None):
+    """deconv2d's forward as one GEMM, its three taps written into the
+    output through stride-2 slices, then the bias added."""
+    c_in, c_out = w.shape[:2]
+    _, t_len, f_in = x.shape
+    wm = w[:, :, 0, :].transpose(2, 1, 0).reshape(3 * c_out, c_in)
+    taps = (wm @ x.reshape(c_in, t_len * f_in)).reshape(3, c_out, t_len, f_in)
+    out = np.empty((c_out, t_len, 2 * f_in), dtype=taps.dtype)
+    out[:, :, 0::2] = taps[1]
+    out[:, :, 1::2] = taps[2]
+    out[:, :, 1:-2:2] += taps[0, :, :, 1:]
+    return out if b is None else out + b[:, None, None]
+
+
+def with_zeros(rg, shape):
+    """float32 normals with about a quarter of the entries +0.0 or -0.0."""
+    v = rg.standard_normal(shape).astype(np.float32)
+    v[rg.random(shape) < 0.25] = 0.0
+    v[rg.random(shape) < 0.1] = -0.0
+    return v
 
 
 def lstm_steps(x, w_ih, w_hh, b):
@@ -127,6 +170,22 @@ class TestConv2d:
             [r(2, 1, 7), r(3, 2, 1, 3), r(3)],
         )
 
+    @pytest.mark.parametrize("f_in", [8, 7, 1])
+    def test_bytes_match_padded_copy(self, f_in):
+        """Forward and input gradient bit for bit as over a padded copy, with
+        a float64 upstream gradient on float32 input, as under stage 1."""
+        rg = np.random.default_rng(21)
+        x, w = with_zeros(rg, (3, 5, f_in)), with_zeros(rg, (4, 3, 1, 3))
+        b = rg.standard_normal(4).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = L.conv2d(xt, w, b)
+        g = rg.standard_normal(out.shape)
+        (out * g).sum().backward()
+        want, want_dx = conv2d_padded_gemm(x, w, b, g)
+        assert out.data.tobytes() == want.tobytes()
+        assert xt.grad.dtype == np.float32
+        assert xt.grad.tobytes() == np.ascontiguousarray(want_dx).tobytes()
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel mismatch"):
             L.conv2d(r(2, 4, 8), r(4, 3, 1, 3))
@@ -176,6 +235,15 @@ class TestDeconv2d:
             [r(2, 1, 5), r(2, 3, 1, 3)],
         )
 
+    @pytest.mark.parametrize("f_in", [4, 5, 1])
+    def test_bytes_match_strided_writes(self, f_in):
+        rg = np.random.default_rng(22)
+        x, w = with_zeros(rg, (3, 5, f_in)), with_zeros(rg, (3, 4, 1, 3))
+        b = rg.standard_normal(4).astype(np.float32)
+        want = deconv2d_strided(x, w, b)
+        assert L.deconv2d(x, w, b).data.tobytes() == want.tobytes()
+        assert L.deconv2d(x, w).data.tobytes() == deconv2d_strided(x, w).tobytes()
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel mismatch"):
             L.deconv2d(r(2, 4, 8), r(3, 2, 1, 3))
@@ -198,49 +266,27 @@ class TestBatchNorm2d:
         g = np.ones(4)
         b = np.zeros(4)
         rm, rv = np.zeros(4), np.ones(4)
-        out = L.batchnorm2d(x, g, b, rm, rv, training=True).data
+        out = L.batchnorm2d(x, g, b, rm, rv).data
         np.testing.assert_allclose(out.mean(axis=(1, 2)), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.var(axis=(1, 2)), 1.0, rtol=1e-4)
 
     def test_running_buffers_track_statistics(self):
         x = r(3, 5, 7)
         rm, rv = np.zeros(3), np.ones(3)
-        L.batchnorm2d(x, np.ones(3), np.zeros(3), rm, rv, training=True, momentum=0.1)
+        L.batchnorm2d(x, np.ones(3), np.zeros(3), rm, rv, momentum=0.1)
         n = 5 * 7
         want_m = 0.1 * x.mean(axis=(1, 2))
         want_v = 0.9 + 0.1 * x.var(axis=(1, 2)) * n / (n - 1)
         np.testing.assert_allclose(rm, want_m, rtol=1e-10)
         np.testing.assert_allclose(rv, want_v, rtol=1e-10)
 
-    def test_eval_mode_uses_buffers_and_leaves_them_alone(self):
-        x = r(2, 4, 4)
-        rm = np.array([1.0, -1.0])
-        rv = np.array([4.0, 0.25])
-        gamma, beta = np.array([2.0, 1.0]), np.array([0.5, 0.0])
-        out = L.batchnorm2d(x, gamma, beta, rm, rv, training=False).data
-        want = gamma[:, None, None] * (x - rm[:, None, None]) / np.sqrt(
-            rv[:, None, None] + 1e-5
-        ) + beta[:, None, None]
-        np.testing.assert_allclose(out, want, rtol=1e-10)
-        np.testing.assert_allclose(rm, [1.0, -1.0])
-        np.testing.assert_allclose(rv, [4.0, 0.25])
-
     def test_grad_train_mode(self):
         rm, rv = np.zeros(2), np.ones(2)
 
         def loss(x, g, b):
-            return (L.batchnorm2d(x, g, b, rm, rv, training=True) ** 2).sum()
+            return (L.batchnorm2d(x, g, b, rm, rv) ** 2).sum()
 
         check_grads(loss, [r(2, 3, 4), 1.0 + 0.1 * r(2), r(2)], rtol=1e-3)
-
-    def test_grad_eval_mode(self):
-        rm = r(2)
-        rv = np.abs(r(2)) + 0.5
-
-        def loss(x, g, b):
-            return (L.batchnorm2d(x, g, b, rm, rv, training=False) ** 2).sum()
-
-        check_grads(loss, [r(2, 3, 4), 1.0 + 0.1 * r(2), r(2)])
 
 
 class TestLayerNorm:
@@ -266,6 +312,37 @@ class TestPrelu:
         a = np.array([0.5, 0.1])
         out = L.prelu(x, a).data
         np.testing.assert_allclose(out, [[[-1.0, 3.0]], [[4.0, -0.5]]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), x_dtype=st.sampled_from([np.float32, np.float64]),
+           a_dtype=st.sampled_from([np.float32, np.float64]))
+    def test_forward_equals_where(self, data, x_dtype, a_dtype):
+        """min(x, 0) * a + max(x, 0) against np.where(x < 0, a * x, x):
+        equal under ==, with NaN in the same places. Only the sign of a zero
+        may differ (x = -0, or a = 0 on negative x), which == does not see."""
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=3, max_side=5))
+        x = data.draw(hnp.arrays(x_dtype, shape, elements=st.floats(
+            width=np.finfo(x_dtype).bits, allow_subnormal=True)))
+        a = data.draw(hnp.arrays(a_dtype, shape[0], elements=st.one_of(
+            st.floats(-4.0, 4.0, width=np.finfo(a_dtype).bits),
+            st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-30, -1e30]))))
+        a_b = a.reshape((-1,) + (1,) * (x.ndim - 1))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            out = L.prelu(x, a).data
+            want = np.where(x < 0, a_b * x, x)
+        assert out.dtype == want.dtype
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        assert np.all(out[~nan] == want[~nan])
+
+    def test_forward_special_values(self):
+        x = np.array([[-np.inf, np.inf, np.nan, -0.0, 0.0, -5e-324, 5e-324, -1.0, 3.0]])
+        for slope in (0.25, -2.0, 3.0, 0.0):
+            a = np.array([slope])
+            with np.errstate(invalid="ignore"):  # -inf * 0 is NaN on both sides
+                want = np.where(x < 0, a * x, x)
+                out = L.prelu(x, a).data
+            np.testing.assert_array_equal(out, want)  # NaN == NaN here, -0 == 0
 
     def test_grad(self):
         x = r(3, 4, 5)

@@ -384,3 +384,25 @@ class TestDataset:
             DatasetConfig(num_utterances=0)
         with pytest.raises(ValueError):
             DatasetConfig(snr_db_min=5.0, snr_db_max=0.0)
+
+    @pytest.mark.parametrize("seconds", [1e-5, 16 / 16000], ids=["0_samples", "16_samples"])
+    def test_too_few_samples_raises(self, seconds):
+        n = round(seconds * 16000)
+        with pytest.raises(ValueError, match=rf"gives {n} samples at 16000 Hz; at least 17"):
+            DatasetConfig(seconds=seconds, sample_rate=16000)
+
+    def test_shortest_renderable_clip(self, tmp_path):
+        manifest = build_dataset(DatasetConfig(out_dir=tmp_path, num_utterances=1,
+                                               seconds=17 / 16000, max_image_order=0))
+        assert len(read_manifest(manifest)) == 1
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"absorption": 1.5}, r"absorption must lie in \[0, 1\]"),
+        ({"room": (1.0, 5.0, 3.0)}, "room too small for the candidate grid"),
+        ({"room": (6.0, 5.0, 1.0)}, "outside the room"),
+    ], ids=["absorption", "room_x", "room_z"])
+    def test_bad_scene_raises_before_writing(self, tmp_path, kwargs, message):
+        out = tmp_path / "data"
+        with pytest.raises(ValueError, match=message):
+            build_dataset(DatasetConfig(out_dir=out, **kwargs))
+        assert not out.exists()
