@@ -2,17 +2,25 @@
 mask-driven MVDR beamforming, and a learned filter-and-sum front end.
 
 All four consume and produce Spectrograms. WPE and MVDR work per
-frequency band on the (T, P) matrix of that band's frames.
+frequency band on the (T, P) matrix of that band's frames. WPE and
+frame-mode MVDR split their work in two through layers._pair, which runs
+one half on its one-thread worker while the calling thread runs the other
+(both on the calling thread, one after the other, without a worker); the
+split does not change the arithmetic, so the output bytes do not depend on
+it.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .crn import CrnConfig, CrnParams, apply_crn_mask, init_crn_params
 from .dsp import Spectrogram, TimeSignal, istft, shift_fractional, stft
+from .layers import _pair
 from .tensor import no_grad
 
 WPE_TAPS = 10
@@ -22,6 +30,7 @@ WPE_VARIANCE_FLOOR = 1e-10
 MVDR_LOADING = 1e-6
 MVDR_FORGETTING = 0.98
 MVDR_POWER_STEPS = 2  # power steps per frame that track the frame-mode steering
+MVDR_BLOCK = 8  # frames per frame-mode block handed to the worker
 
 
 # -- delay and sum ------------------------------------------------------------------
@@ -71,6 +80,11 @@ def wpe(
     equations for the prediction filters, and subtracts the prediction.
     Singular normal equations fall back to increased diagonal loading with
     a warning.
+
+    The bands are split in two halves: the calling thread runs the lower
+    half while the layers._pair worker runs the upper half, each through
+    the same per-band loop. An unsolvable band raises once both halves are
+    done.
     """
     if taps < 0 or delay < 1 or iterations < 1:
         raise ValueError("need taps >= 0, delay >= 1, iterations >= 1")
@@ -82,32 +96,32 @@ def wpe(
         raise ValueError("utterance too short for the requested taps and delay")
     out = z.copy()
     kp = taps * p
+    eye = np.eye(kp)
 
-    for f in range(f_bins):
-        yf = z[:, :, f].T  # (T, P)
-        # stacked delayed context for each frame: (T, taps*P)
-        ctx = np.zeros((t_len, kp), dtype=np.complex128)
-        for k in range(taps):
-            shift = delay + k
-            ctx[shift:, k * p : (k + 1) * p] = yf[: t_len - shift, :]
-        xf = yf.copy()
-        for _ in range(iterations):
-            lam = np.maximum(np.mean(np.abs(xf) ** 2, axis=1), WPE_VARIANCE_FLOOR)
-            cw = ctx / lam[:, None]
-            r = cw.conj().T @ ctx  # (KP, KP)
-            pmat = cw.conj().T @ yf  # (KP, P)
-            g = _solve_loaded(r, pmat, f)
-            xf = yf - ctx @ g
-        out[:, :, f] = xf.T
+    def bands(lo, hi):
+        for f in range(lo, hi):
+            yf = z[:, :, f].T  # (T, P)
+            # stacked delayed context for each frame: (T, taps*P)
+            ctx = np.zeros((t_len, kp), dtype=np.complex128)
+            for k in range(taps):
+                shift = delay + k
+                ctx[shift:, k * p : (k + 1) * p] = yf[: t_len - shift, :]
+            xf = yf.copy()
+            for _ in range(iterations):
+                lam = np.maximum(np.mean(np.abs(xf) ** 2, axis=1), WPE_VARIANCE_FLOOR)
+                cwh = (ctx / lam[:, None]).conj().T
+                g = _solve_loaded(cwh @ ctx, cwh @ yf, f, eye)  # (KP, KP), (KP, P)
+                xf = yf - ctx @ g
+            out[:, :, f] = xf.T
+
+    half = (f_bins + 1) // 2
+    _pair(partial(bands, 0, half), partial(bands, half, f_bins))
     return y.like(out.real.copy(), out.imag.copy())
 
 
-def _solve_loaded(r: np.ndarray, rhs: np.ndarray, band: int) -> np.ndarray:
-    import warnings
-
+def _solve_loaded(r: np.ndarray, rhs: np.ndarray, band: int, eye: np.ndarray) -> np.ndarray:
     base = max(np.trace(r).real / max(r.shape[0], 1), 1.0)
     load = 1e-10 * base
-    eye = np.eye(r.shape[0])
     for attempt in range(7):
         try:
             return np.linalg.solve(r + load * eye, rhs)
@@ -219,7 +233,14 @@ def mask_mvdr(
     so the distortionless constraint w^H d = 1 holds by construction.
     Frame mode computes it in full at the first frame and then tracks it
     with warm-started power steps (_track_steering).
+
+    Frame mode runs in blocks of MVDR_BLOCK frames, one layers._pair call
+    per block: the calling thread updates the covariances and tracks the
+    steering of block k + 1 while the worker computes the weights and
+    output of block k, each as one call batched over (frames, bands).
     """
+    if not 0.0 < forgetting < 1.0:
+        raise ValueError("forgetting factor must lie in (0, 1)")
     speech_mask = np.asarray(speech_mask, dtype=np.float64)
     noise_mask = np.asarray(noise_mask, dtype=np.float64)
     expected = (y.frames, y.bins)
@@ -241,16 +262,33 @@ def mask_mvdr(
     elif mode == "frame":
         cov = CovarianceEstimate.empty(f_bins, p, "frame", forgetting)
         out = np.empty((t_len, f_bins), dtype=np.complex128)
+        frames = z.transpose(1, 2, 0)  # (T, F, P)
         d = None
-        for t in range(t_len):
-            frame = z[:, t, :].T
-            cov.update(frame, speech_mask[t], noise_mask[t])
-            if d is None:
-                d = steering_from_covariance(cov.speech)
-            else:
-                d = _track_steering(cov.speech, d)
-            w = _mvdr_weights(cov.noise, d, MVDR_LOADING)
-            out[t] = np.einsum("fp,fp->f", w.conj(), frame)
+
+        def track(t0):
+            """Noise covariances and steering of the block from frame t0."""
+            nonlocal d
+            t1 = min(t0 + MVDR_BLOCK, t_len)
+            noise = np.empty((t1 - t0, f_bins, p, p), dtype=np.complex128)
+            steer = np.empty((t1 - t0, f_bins, p), dtype=np.complex128)
+            for t in range(t0, t1):
+                cov.update(frames[t], speech_mask[t], noise_mask[t])
+                if d is None:
+                    d = steering_from_covariance(cov.speech)
+                else:
+                    d = _track_steering(cov.speech, d)
+                noise[t - t0] = cov.noise
+                steer[t - t0] = d
+            return noise, steer
+
+        def beamform(t0, noise, steer):
+            w = _mvdr_weights(noise, steer, MVDR_LOADING)
+            out[t0 : t0 + len(w)] = np.einsum("tfp,tfp->tf", w.conj(), frames[t0 : t0 + len(w)])
+
+        block = track(0)
+        for t0 in range(0, t_len, MVDR_BLOCK):
+            nxt = min(t0 + MVDR_BLOCK, t_len)  # the last block has no successor: 0 frames
+            block, _ = _pair(partial(track, nxt), partial(beamform, t0, *block))
     else:
         raise ValueError(f"mode must be 'block' or 'frame', got {mode!r}")
     return y.like(out.real[None].copy(), out.imag[None].copy())

@@ -5,7 +5,8 @@ takes --config has its own table of the keys it reads; values are parsed
 by the key's type, and a key outside the table is an error that names
 it, so typos and keys meant for another subcommand fail loudly instead of
 silently doing nothing. So does a key of the table that the `baseline`
-method, or `--model` in place of a fresh model, would ignore (MODE_KEYS).
+method, or `--model` in place of a fresh model, would ignore (MODE_KEYS),
+and a key read only under a value of another key (READ_WITH).
 """
 
 from __future__ import annotations
@@ -68,11 +69,17 @@ MODE_KEYS = {
 }
 
 
+# key -> (other key, value): read only when the other key has that value;
+# block-mode MVDR has no forgetting factor, and block is the default mode
+READ_WITH = {"mvdr_forgetting": ("mvdr_mode", "frame")}
+
+
 def parse_config_text(text: str, command: str, source: str = "<config>") -> dict:
     """command is a subcommand, or a MODE_KEYS mode of one."""
     keys = KEYS[command.split()[0]]
     read = MODE_KEYS.get(command, keys)
     out = {}
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -88,6 +95,12 @@ def parse_config_text(text: str, command: str, source: str = "<config>") -> dict
             out[key] = keys[key](value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+        line_of[key] = lineno
+    for key, (other, value) in READ_WITH.items():
+        if key in out and out.get(other) != value:
+            raise ConfigError(
+                f"{source}:{line_of[key]}: configuration key {key!r} is read only with "
+                f"{other} = {value}")
     return out
 
 

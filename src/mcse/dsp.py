@@ -120,8 +120,8 @@ def stft(x: TimeSignal, frame_size: int = FRAME_SIZE, hop: int = HOP_SIZE,
     data[:, : x.length] = x.samples
     window = hann_window(frame_size)
 
-    idx = np.arange(frame_size)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = data[:, idx] * window
+    frames = np.lib.stride_tricks.sliding_window_view(data, frame_size, axis=-1)
+    frames = frames[:, ::hop] * window
     spec = np.fft.rfft(frames, n=fft_size, axis=-1)[..., : fft_size // 2]
     return Spectrogram(
         spec.real.copy(), spec.imag.copy(), frame_size, hop, fft_size, x.sample_rate

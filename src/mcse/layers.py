@@ -298,13 +298,15 @@ def _openblas_threads():
 
 
 def _bw_worker():
-    """The one-thread pool that runs the bw direction of each bidirectional
-    layer while the calling thread runs fw. None, and both directions run
-    on the calling thread, when BLAS threads cannot be capped (they would
-    compete with the pair) or when this process may use fewer than 2 CPUs."""
+    """The one-thread pool that runs the bw side of each _pair: the bw
+    direction of each bidirectional layer, the upper half of WPE's bands
+    and the weights and output of each frame-mode MVDR block (baselines).
+    None, and both sides run on the calling thread, when BLAS threads
+    cannot be capped (they would compete with the pair) or when this
+    process may use fewer than 2 CPUs."""
     if _BLAS_THREADS is None or len(os.sched_getaffinity(0)) < 2:
         return None
-    return ThreadPoolExecutor(1, thread_name_prefix="lstm-bw")
+    return ThreadPoolExecutor(1, thread_name_prefix="pair-bw")
 
 
 def _renew_bw_worker():

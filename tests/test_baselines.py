@@ -7,10 +7,15 @@ weights are checked against the defining constraint and a matched-filter
 closed form.
 """
 
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import mcse.baselines as B
+from mcse import layers as L
 from mcse import simkit
 from mcse.dsp import Spectrogram, TimeSignal, istft, stft
 from mcse.metrics import stoi
@@ -262,6 +267,9 @@ class TestMaskMvdr:
             B.mask_mvdr(spec, np.full((4, 10), 0.5), good)  # wrong shape
         with pytest.raises(ValueError):
             B.mask_mvdr(spec, good, good, mode="sliding")
+        for mode, forgetting in (("block", 5.0), ("block", 1.0), ("frame", 0.0)):
+            with pytest.raises(ValueError, match=r"forgetting factor must lie in \(0, 1\)"):
+                B.mask_mvdr(spec, good, good, mode=mode, forgetting=forgetting)
 
     def test_oracle_masks_complementary(self):
         s = stft(TimeSignal(rng.standard_normal((2, 4000)), 16000))
@@ -361,6 +369,136 @@ class TestSteeringTracker:
         assert np.linalg.norm(got - want) <= 0.05 * np.linalg.norm(want)
         ref = dry.samples[0]
         assert abs(stoi(ref, got, 16000) - stoi(ref, want, 16000)) <= 0.005
+
+
+def frame_mvdr_loop(y: Spectrogram, speech_mask, noise_mask) -> Spectrogram:
+    """Frame-mode MVDR one frame at a time on the calling thread, with the
+    tracked steering: the reference the blocked, two-thread run is held to
+    byte for byte."""
+    z = y.to_complex()
+    p, t_len, f_bins = z.shape
+    cov = B.CovarianceEstimate.empty(f_bins, p, "frame")
+    out = np.empty((t_len, f_bins), dtype=np.complex128)
+    d = None
+    for t in range(t_len):
+        frame = z[:, t, :].T
+        cov.update(frame, speech_mask[t], noise_mask[t])
+        d = B.steering_from_covariance(cov.speech) if d is None else B._track_steering(
+            cov.speech, d)
+        w = B._mvdr_weights(cov.noise, d, B.MVDR_LOADING)
+        out[t] = np.einsum("fp,fp->f", w.conj(), frame)
+    return y.like(out.real[None].copy(), out.imag[None].copy())
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Run the worker's half on a worker thread, also where this process
+    may use only one CPU."""
+    if L._BLAS_THREADS is None:
+        pytest.skip("numpy's OpenBLAS thread controls are not available")
+    if L._BW_WORKER is not None:
+        yield
+        return
+    with ThreadPoolExecutor(1) as worker:
+        monkeypatch.setattr(L, "_BW_WORKER", worker)
+        yield
+
+
+def random_spec(p, t, bins, seed):
+    r = np.random.default_rng(seed)
+    z = r.standard_normal((p, t, bins)) + 1j * r.standard_normal((p, t, bins))
+    return Spectrogram(z.real, z.imag, 2 * bins, 1, 2 * bins, 16000)
+
+
+def two_and_one_thread(monkeypatch, run):
+    """run() with the worker, then with none. BLAS is held at one thread
+    for both, as the worker's pair holds it, so only the threading
+    differs; the two-thread run switches threads as often as it can, so
+    that the two sides interleave finely."""
+    get, put = L._BLAS_THREADS
+    threads, interval = get(), sys.getswitchinterval()
+    put(1)
+    try:
+        sys.setswitchinterval(1e-6)
+        two = run()
+        sys.setswitchinterval(interval)
+        monkeypatch.setattr(L, "_BW_WORKER", None)
+        one = run()
+    finally:
+        sys.setswitchinterval(interval)
+        put(threads)
+    return two, one
+
+
+def same_bytes(a: Spectrogram, b: Spectrogram) -> bool:
+    return a.re.tobytes() == b.re.tobytes() and a.im.tobytes() == b.im.tobytes()
+
+
+def refuse_zero_band(monkeypatch, up_to):
+    """np.linalg.solve that raises LinAlgError on the loaded normal
+    equations of an all-zero band, load * I, while the load is at most
+    up_to; every other system is solved."""
+    solve = np.linalg.solve
+
+    def fake(a, b):
+        if a.ndim == 2 and np.all(a == a[0, 0] * np.eye(len(a))) and a[0, 0].real <= up_to:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fake)
+
+
+class TestWorkerSplit:
+    """WPE and frame-mode MVDR hand half their work to the layers._pair
+    worker; that changes no byte of the output."""
+
+    @pytest.mark.parametrize("bins", [7, 8])
+    def test_wpe_threaded_equals_one_thread(self, threaded, monkeypatch, bins):
+        y = random_spec(3, 40, bins, seed=bins)
+        two, one = two_and_one_thread(monkeypatch, lambda: B.wpe(y))
+        assert same_bytes(two, one)
+
+    @pytest.mark.parametrize("frames", [1, B.MVDR_BLOCK, 2 * B.MVDR_BLOCK + 3])
+    @pytest.mark.parametrize("bins", [7, 8])
+    def test_frame_mvdr_threaded_equals_one_thread_and_frame_loop(self, threaded, monkeypatch,
+                                                                  frames, bins):
+        y = random_spec(4, frames, bins, seed=frames)
+        sm = np.random.default_rng(bins).uniform(0.0, 1.0, (frames, bins))
+        two, one = two_and_one_thread(
+            monkeypatch, lambda: B.mask_mvdr(y, sm, 1.0 - sm, mode="frame"))
+        assert same_bytes(two, one)
+        assert same_bytes(two, frame_mvdr_loop(y, sm, 1.0 - sm))
+
+    def test_wpe_unsolvable_band_raises_after_both_halves(self, threaded, monkeypatch):
+        """The first band of the worker's half fails at once; the error
+        still comes only after the caller's half has solved every band."""
+        bins = 9
+        half = (bins + 1) // 2
+        y = random_spec(2, 30, bins, seed=1)
+        y.re[:, :, half] = 0.0
+        y.im[:, :, half] = 0.0
+        refuse_zero_band(monkeypatch, up_to=np.inf)
+        solved = []
+        solve_loaded = B._solve_loaded
+        monkeypatch.setattr(B, "_solve_loaded", lambda r, rhs, band, eye: (
+            solved.append(band), solve_loaded(r, rhs, band, eye))[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(np.linalg.LinAlgError, match=f"unsolvable at band {half}$"):
+                B.wpe(y, iterations=2)
+        assert sorted(b for b in solved if b < half) == sorted(list(range(half)) * 2)
+        assert [b for b in solved if b >= half] == [half]
+
+    def test_wpe_singular_band_in_worker_half_warns(self, threaded, monkeypatch):
+        bins = 9
+        y = random_spec(2, 30, bins, seed=2)
+        y.re[:, :, bins - 1] = 0.0
+        y.im[:, :, bins - 1] = 0.0
+        refuse_zero_band(monkeypatch, up_to=1e-9)  # the first, smallest load only
+        with pytest.warns(UserWarning, match=f"singular at band {bins - 1}; increasing"):
+            out = B.wpe(y)
+        assert np.all(np.isfinite(out.to_complex()))
+        assert not np.any(out.to_complex()[:, :, bins - 1])
 
 
 class TestFilterSum:

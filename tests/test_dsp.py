@@ -104,6 +104,23 @@ class TestStft:
         want = dft_oracle(x.samples, 64, 16)
         np.testing.assert_allclose(s.to_complex(), want, rtol=1e-9, atol=1e-10)
 
+    @pytest.mark.parametrize("hop", [64, 256])
+    @pytest.mark.parametrize("channels", [1, 8])
+    @pytest.mark.parametrize("length", [512, 512 + 64 * 37 + 5, 32000])
+    def test_bytes_equal_gather_framing(self, hop, channels, length):
+        """The strided framing gives the bytes of the fancy-index gather it
+        replaced: one frame, a length that is not a whole number of hops,
+        and a whole 2 s signal."""
+        x = TimeSignal(rng.standard_normal((channels, length)), 16000)
+        n_frames = frame_count(length, 512, hop)
+        data = np.zeros((channels, (n_frames - 1) * hop + 512))
+        data[:, :length] = x.samples
+        idx = np.arange(512)[None, :] + hop * np.arange(n_frames)[:, None]
+        want = np.fft.rfft(data[:, idx] * hann_window(512), n=512, axis=-1)[..., :256]
+        s = stft(x, 512, hop, 512)
+        assert s.frames == n_frames
+        assert s.re.tobytes() == want.real.tobytes() and s.im.tobytes() == want.imag.tobytes()
+
     def test_shape_and_metadata(self):
         x = TimeSignal(rng.standard_normal((4, 16000)), 16000)
         s = stft(x)

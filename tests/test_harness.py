@@ -439,6 +439,44 @@ class TestCli:
         assert err.startswith(f"config error: {cfg}:1: ") and repr(line.split()[0]) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    @pytest.mark.parametrize("text", [
+        "mvdr_forgetting = 0.9\n",
+        "mvdr_forgetting = 5.0\n",
+        "mvdr_forgetting = 0.9\nmvdr_mode = block\n",
+    ], ids=["default_mode", "out_of_range", "block_mode"])
+    def test_forgetting_outside_frame_mode_exits_2(self, tmp_path, capsys, text):
+        """Block mode, the default, has no forgetting factor: the key is
+        refused by its line before any work starts, whatever its value."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = ["baseline", "mvdr", "--in", str(tmp_path / "x.wav"),
+                "--out", str(tmp_path / "y.wav"), "--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: {cfg}:1: configuration key 'mvdr_forgetting' is read "
+                       "only with mvdr_mode = frame\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_forgetting_in_frame_mode_is_read(self, tmp_path, capsys):
+        """In frame mode the key is read, and a value outside (0, 1) is
+        refused by mask_mvdr."""
+        from mcse.wavio import write_wav
+
+        rng = np.random.default_rng(0)
+        for name in ("x", "s", "n"):
+            write_wav(tmp_path / f"{name}.wav", TimeSignal(rng.standard_normal((2, 2000)), 16000))
+        cfg = tmp_path / "run.cfg"
+        argv = ["baseline", "mvdr", "--in", str(tmp_path / "x.wav"), "--out",
+                str(tmp_path / "y.wav"), "--speech-ref", str(tmp_path / "s.wav"),
+                "--noise-ref", str(tmp_path / "n.wav"), "--config", str(cfg)]
+        cfg.write_text("mvdr_forgetting = 5.0\nmvdr_mode = frame\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: forgetting factor must lie in (0, 1)\n"
+        assert not (tmp_path / "y.wav").exists()
+        cfg.write_text("mvdr_mode = frame\nmvdr_forgetting = 0.9\n")
+        assert main(argv) == 0
+        assert (tmp_path / "y.wav").exists()
+
     @pytest.mark.parametrize("method, flag", [
         ("wpe", "--delays 1,2"),
         ("ds", "--speech-ref {d}/s.wav"),
