@@ -3,11 +3,9 @@ mask-driven MVDR beamforming, and a learned filter-and-sum front end.
 
 All four consume and produce Spectrograms. WPE and MVDR work per
 frequency band on the (T, P) matrix of that band's frames. WPE and
-frame-mode MVDR split their work in two through layers._pair, which runs
-one half on its one-thread worker while the calling thread runs the other
-(both on the calling thread, one after the other, without a worker); the
-split does not change the arithmetic, so the output bytes do not depend on
-it.
+frame-mode MVDR split their work in two through layers._pair (one half on
+its worker thread when there is one); the split does not change the
+arithmetic, so their output bytes do not depend on it.
 """
 
 from __future__ import annotations
