@@ -10,7 +10,9 @@ Subcommands:
 simulate, train and baseline accept --config with `key = value` lines,
 each only the keys it reads (config.KEYS, narrowed by config.MODE_KEYS to
 what a baseline method or --model reads); command-line flags win over
-config-file values. Unknown keys or flags exit nonzero.
+config-file values. Unknown keys or flags exit nonzero. So does an input
+WAV at another rate or channel count than it must have, or with a
+non-finite sample: it exits 2, with the file named.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import baselines as B
 from .config import ConfigError, load_config
-from .dsp import istft, stft
+from .dsp import SignalError, check_signal, istft, stft
 from .metrics import MetricReport, stoi, wer
 from .optim import TrainConfig
 from .pipeline import enhance, init_two_stage_model
@@ -130,7 +132,7 @@ def _cmd_train(args) -> int:
             freq_bins=cfg.get("freq_bins", 256),
             seed=config.seed,
         )
-    data = load_training_set(args.data, model.stft)
+    data = load_training_set(args.data, model.stft, model.p_channels)
     curve = train(data, model, config, out_dir=args.out)
     print(f"trained {config.stage} for {len(curve)} iterations; "
           f"final loss {curve[-1][2]:.6f}; run dir {args.out}")
@@ -148,7 +150,7 @@ def _cmd_enhance(args) -> int:
     from .checkpoint import load_checkpoint
 
     model, _, _ = load_checkpoint(args.model)
-    x = read_wav(args.input)
+    x = _read_checked(args.input, model.stft.sample_rate, model.p_channels)
     out = enhance(x, model)
     write_wav(args.out, out)
     print(f"wrote {args.out}")
@@ -167,16 +169,9 @@ def _cmd_baseline(args) -> int:
             return 2
     model = " --model" if args.method == "filtersum" and args.model else ""
     cfg = _config(args, f"baseline {args.method}{model}")
-    x = read_wav(args.input)
-    y = stft(x)
+    x = _read_checked(args.input)
 
-    if args.method == "ds":
-        if args.delays:
-            delays = np.array([float(v) for v in args.delays.split(",")])
-        else:
-            delays = np.zeros(y.channels)
-        out_spec = B.delay_and_sum(y, delays)
-    elif args.method == "wpe":
+    if args.method == "wpe":
         out_spec = B.wpe(
             stft(x, 512, 256, 512),
             taps=cfg.get("wpe_taps", B.WPE_TAPS),
@@ -187,13 +182,21 @@ def _cmd_baseline(args) -> int:
         write_wav(args.out, out)
         print(f"wrote {args.out} (all {out.channels} dereverberated channels)")
         return 0
+    y = stft(x)
+    if args.method == "ds":
+        if args.delays:
+            delays = np.array([float(v) for v in args.delays.split(",")])
+        else:
+            delays = np.zeros(y.channels)
+        out_spec = B.delay_and_sum(y, delays)
     elif args.method == "mvdr":
         if not args.speech_ref or not args.noise_ref:
             print("baseline mvdr needs --speech-ref and --noise-ref for oracle masks",
                   file=sys.stderr)
             return 2
-        s_ref = stft(read_wav(args.speech_ref))
-        n_ref = stft(read_wav(args.noise_ref))
+        # the oracle masks are per channel and per bin of the input
+        s_ref = stft(_read_checked(args.speech_ref, x.sample_rate, x.channels))
+        n_ref = stft(_read_checked(args.noise_ref, x.sample_rate, x.channels))
         sm, nm = B.oracle_masks(s_ref, n_ref)
         out_spec = B.mask_mvdr(
             y, sm, nm,
@@ -224,6 +227,11 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
+def _read_checked(path, sample_rate=None, channels=None):
+    """read_wav(path), refused by name (exit 2) unless check_signal passes."""
+    return check_signal(read_wav(path), str(path), sample_rate, channels)
+
+
 def _read_transcript(path: Path) -> list:
     return path.read_text().split()
 
@@ -241,8 +249,8 @@ def _cmd_evaluate(args) -> int:
         if not est_path.exists():
             print(f"missing estimate for {ref_path.name}", file=sys.stderr)
             return 1
-        ref = read_wav(ref_path)
-        est = read_wav(est_path)
+        ref = _read_checked(ref_path)
+        est = _read_checked(est_path, ref.sample_rate)
         n = min(ref.length, est.length)
         score = stoi(ref.samples[0, :n], est.samples[0, :n], ref.sample_rate)
         wer_score = None
@@ -278,6 +286,9 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SignalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FileNotFoundError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

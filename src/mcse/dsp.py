@@ -48,6 +48,30 @@ class TimeSignal:
         return self.samples.shape[1]
 
 
+class SignalError(ValueError):
+    """A signal an entry point refuses: wrong rate or channel count, or a
+    non-finite sample."""
+
+
+def check_signal(x: TimeSignal, name: str, sample_rate: int | None = None,
+                 channels: int | None = None) -> TimeSignal:
+    """x, if it is at sample_rate Hz with the given channel count (each
+    checked only when given) and every sample is finite; else a
+    SignalError whose message starts with name (a file path, or what the
+    signal is) and, for a non-finite sample, gives the earliest one, in its
+    lowest channel."""
+    if sample_rate is not None and x.sample_rate != sample_rate:
+        raise SignalError(f"{name}: sample rate {x.sample_rate} Hz, expected {sample_rate} Hz")
+    if channels is not None and x.channels != channels:
+        raise SignalError(f"{name}: channel count {x.channels}, expected {channels}")
+    finite = np.isfinite(x.samples)
+    if not finite.all():
+        sample, channel = np.argwhere(~finite.T)[0]
+        raise SignalError(f"{name}: non-finite sample ({x.samples[channel, sample]}) "
+                          f"at channel {channel}, sample {sample}")
+    return x
+
+
 @dataclass
 class Spectrogram:
     """Complex spectrogram stored as separate real/imag planes (C, T, F)."""

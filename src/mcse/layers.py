@@ -428,27 +428,34 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
 
 def _lstm_backward(cache, grad):
     """BPTT through one _lstm_forward(keep=True) direction for grad (B, T,
-    H) of its h. Returns (dx, dw_ih, dw_hh, db)."""
+    H) of its h, in the gates' dtype. Returns (dx, dw_ih, dw_hh, db).
+
+    Spends the cache: each step's gate pre-activation derivatives dz are
+    written over that step's activated gate row, which no later (earlier
+    in time) step reads, so the gate cache becomes the (T, B, 4H) dz
+    buffer and the cache cannot be used again."""
     x, w_ih, w_hh, gates, cells, tanh_c, hs = cache
     t_len, bsz, four_h = gates.shape
     h_size = four_h // 4
     sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
     sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
     g_tm = grad.transpose(1, 0, 2)
-    dz_all = np.empty((t_len, bsz, four_h), dtype=grad.dtype)
     dh_next = np.zeros((bsz, h_size), dtype=grad.dtype)
     dc_next = np.zeros_like(dh_next)
     for t in range(t_len - 1, -1, -1):
-        z, tc, dz = gates[t], tanh_c[t], dz_all[t]
+        z, tc = gates[t], tanh_c[t]
         i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
         dh = g_tm[t] + dh_next
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        dz[:, sl_i] = dc * g_ * i * (1.0 - i)
-        dz[:, sl_f] = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
-        dz[:, sl_g] = dc * i * (1.0 - g_ * g_)
-        dz[:, sl_o] = dh * tc * o * (1.0 - o)
-        dh_next = dz @ w_hh
+        # every read of z's gates comes before the first write over them
+        d_i = dc * g_ * i * (1.0 - i)
+        d_f = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
+        d_g = dc * i * (1.0 - g_ * g_)
+        d_o = dh * tc * o * (1.0 - o)
         dc_next = dc * f
+        z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o] = d_i, d_f, d_g, d_o
+        dh_next = z @ w_hh
+    dz_all = gates
     dz2 = dz_all.reshape(t_len * bsz, four_h)
     # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
     dw_hh = dz2[bsz:].T @ hs[:-1].reshape(-1, h_size)
@@ -472,7 +479,10 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     done (_pair). Without numpy's OpenBLAS thread controls, or with fewer
     than 2 CPUs, both run here one after the other, through the same
     kernels and to the same bytes. Gradients are accumulated on the calling
-    thread only. Under no_grad the forward keeps no per-step history.
+    thread only. Under no_grad the forward keeps no per-step history;
+    otherwise the node's backward spends the kept history (_lstm_backward
+    writes its gate derivatives over it), so it runs once, as the tape
+    runs every node.
 
     The name is the one the single-direction op had: perfbench/tracing.py
     wraps this function by name, so its spatial and CRN LSTM spans go on
@@ -495,13 +505,12 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     )
 
     def backward(grad):
-        # bw takes its half in the output's dtype (a float32 copy under a
-        # float64 loss) and fw takes its half as it comes, as when the two
-        # directions were separate nodes and a reversing slice fed bw
-        grad_bw = grad[:, ::-1, h_fw:].astype(out.dtype, copy=False)
+        # both halves run in the output's dtype: a grad of another dtype is
+        # cast once, as a whole, and one of that dtype is used as it comes
+        grad = grad.astype(out.dtype, copy=False)
         (dx, *d_fw), (dx_bw, *d_bw) = _pair(
             lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw]),
-            lambda: _lstm_backward(cache_bw, grad_bw),
+            lambda: _lstm_backward(cache_bw, grad[:, ::-1, h_fw:]),
         )
         for p, g in zip(parents[1:], d_fw + d_bw):
             _accum(p, g)

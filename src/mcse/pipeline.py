@@ -31,6 +31,7 @@ from .dsp import (
     SAMPLE_RATE,
     Spectrogram,
     TimeSignal,
+    check_signal,
     istft,
     stft,
 )
@@ -216,21 +217,11 @@ def stage2_miso(filtered: Spectrogram, y_ref: Spectrogram, model: TwoStageModel)
 
 def enhance(x: TimeSignal, model: TwoStageModel) -> TimeSignal:
     """Full pipeline: multichannel waveform in, single-channel waveform out
-    (same length, same sample rate)."""
-    if x.channels != model.p_channels:
-        raise ValueError(f"model expects {model.p_channels} channels, got {x.channels}")
-    if x.sample_rate != model.stft.sample_rate:
-        raise ValueError(
-            f"model operates at {model.stft.sample_rate} Hz, got {x.sample_rate} Hz"
-        )
-    finite = np.isfinite(x.samples)
-    if not finite.all():
-        sample, channel = np.argwhere(~finite.T)[0]  # earliest sample, lowest channel
-        raise ValueError(
-            f"input has a non-finite sample ({x.samples[channel, sample]}) "
-            f"at channel {channel}, sample {sample}"
-        )
+    (same length, same sample rate). A signal at another rate or channel
+    count than the model's, or with a non-finite sample, is refused
+    (check_signal)."""
     s = model.stft
+    check_signal(x, "input", s.sample_rate, model.p_channels)
     y = stft(x, s.frame_size, s.hop, s.fft_size)
     with no_grad():
         e_re, e_im = two_stage_tensors(y.re, y.im, model, training=False)

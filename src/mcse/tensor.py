@@ -3,8 +3,15 @@
 A Tensor wraps an ndarray and records the operations applied to it in a
 define-by-run graph. Calling backward() on a scalar result walks the graph
 in reverse topological order and accumulates gradients into every tensor
-that requires them. float32 is the production dtype; tests run the same
-graph in float64 for finite-difference comparisons.
+that requires them. The walk frees the graph as it goes: once a node's
+backward has run, its closure, its links to its parents and its .grad are
+dropped, so only the leaves (tensors made with requires_grad=True) and
+the root keep a gradient after backward() returns.
+
+float32 is the production dtype; tests run the same graph in float64 for
+finite-difference comparisons. A Python or 0-d scalar operand of add, sub
+or mul takes the dtype of the Tensor it meets, so `x + 1e-8` or `2.0 * x`
+stays in x's dtype instead of promoting a float32 graph to float64.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -77,19 +84,24 @@ class Tensor:
 
     def backward(self):
         """Backpropagate from this tensor. Only scalar roots are allowed.
-        The graph is freed as it is walked."""
+        Nodes are popped off the order as they run and their graph links
+        dropped; an interior node's .grad is dropped once its backward has
+        run, so leaves and this root keep theirs."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward() requires a scalar tensor, got shape {self.data.shape}"
             )
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             fn = node._backward
             if fn is not None and node.grad is not None:
                 fn(node.grad)
             node._backward = None
             node._parents = ()
+            if fn is not None and node is not self:
+                node.grad = None
 
     # -- operator sugar --------------------------------------------------------
 
@@ -103,7 +115,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(as_tensor(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -142,6 +154,17 @@ def as_tensor(x, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x if dtype is None else np.asarray(x, dtype=dtype))
+
+
+def _operands(a, b):
+    """(a, b) as Tensors for a binary op. A Python or 0-d scalar that is
+    not a Tensor takes the other operand's dtype when that one is a
+    Tensor, so constants never promote the graph."""
+    if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.ndim(a) == 0:
+        return as_tensor(a, b.dtype), b
+    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.ndim(b) == 0:
+        return a, as_tensor(b, a.dtype)
+    return as_tensor(a), as_tensor(b)
 
 
 def _topo_order(root: Tensor):
@@ -206,7 +229,7 @@ def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data + b.data
 
     def backward(g):
@@ -217,7 +240,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data - b.data
 
     def backward(g):
@@ -228,7 +251,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_data = a.data * b.data
 
     def backward(g):

@@ -11,12 +11,13 @@ fully determined by (data, config.seed).
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import Spectrogram, stft
+from .dsp import Spectrogram, check_signal, stft
 from .loss import total_loss
 from .optim import AdamWState, TrainConfig, adamw_step, lr_schedule
 from .pipeline import (
@@ -40,18 +41,19 @@ class Utterance:
     dry: Spectrogram
 
 
-def load_training_set(manifest_path, settings) -> list:
+def load_training_set(manifest_path, settings, channels: int | None = None) -> list:
+    """Utterances of a manifest, as spectrograms under settings. Every file
+    must be at settings.sample_rate with finite samples, the mixture (of
+    `channels` channels, when given) and the reverberant clean images with
+    one channel each per microphone, the dry source with one; any other
+    file is refused by name (dsp.check_signal)."""
     entries = read_manifest(manifest_path)
+    rate = settings.sample_rate
     out = []
     for e in entries:
-        mix = read_wav(e.mix_path)
-        rev = read_wav(e.revclean_path)
-        dry = read_wav(e.dry_path)
-        for sig in (mix, rev, dry):
-            if sig.sample_rate != settings.sample_rate:
-                raise ValueError(
-                    f"{e.uid}: expected {settings.sample_rate} Hz, got {sig.sample_rate}"
-                )
+        mix = check_signal(read_wav(e.mix_path), str(e.mix_path), rate, channels)
+        rev = check_signal(read_wav(e.revclean_path), str(e.revclean_path), rate, mix.channels)
+        dry = check_signal(read_wav(e.dry_path), str(e.dry_path), rate, 1)
         out.append(
             Utterance(
                 e.uid,
@@ -94,17 +96,34 @@ def _utterance_loss(utt: Utterance, model: TwoStageModel, stage: str,
 def train(data: list, model: TwoStageModel, config: TrainConfig, out_dir=None) -> list:
     """Optimize the configured stage of the model over a list of
     Utterances. Returns the loss curve as (iteration, lr, loss) tuples.
-    If out_dir is given, writes loss_curve.csv and checkpoint.bin there.
+    If out_dir is given, streams loss_curve.csv there, one flushed row per
+    iteration (write_loss_curve), and writes checkpoint.bin at the end.
     """
     if not data:
         raise ValueError("empty training set")
     params = model.stage_params(config.stage)
     state = AdamWState.for_params(params)
+    rows = _iterations(data, model, config, params, state)
+    if out_dir is None:
+        rows = list(rows)
+    else:
+        from .checkpoint import save_checkpoint
+
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        rows = write_loss_curve(out_dir / "loss_curve.csv", rows)
+        save_checkpoint(out_dir / "checkpoint.bin", model, state)
+    return [row[:3] for row in rows]
+
+
+def _iterations(data, model, config, params, state):
+    """Run config.max_iters iterations, yielding a CURVE_COLUMNS row after
+    each: wall_s is the iteration's wall-clock seconds, skipped is 1 when
+    non-finite gradients made the optimizer skip its step, else 0."""
     rng = np.random.default_rng(config.seed)
     cache: dict = {}
-    curve = []
-
     for it in range(config.max_iters):
+        t0 = time.perf_counter()
         lr = lr_schedule(config.lr, it, config.lr_halving_interval)
         idx = rng.integers(0, len(data), size=config.batch_size)
         for p in params.values():
@@ -115,22 +134,25 @@ def train(data: list, model: TwoStageModel, config: TrainConfig, out_dir=None) -
             # scale so accumulated grads average over the batch
             (loss * (1.0 / config.batch_size)).backward()
             batch_loss += loss.item() / config.batch_size
-        if not adamw_step(params, state, lr, config):
+        skipped = not adamw_step(params, state, lr, config)
+        if skipped:
             log.warning("iteration %d skipped (non-finite gradients)", it)
-        curve.append((it, lr, batch_loss))
-
-    if out_dir is not None:
-        from .checkpoint import save_checkpoint
-
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_loss_curve(out_dir / "loss_curve.csv", curve)
-        save_checkpoint(out_dir / "checkpoint.bin", model, state)
-    return curve
+        yield it, lr, batch_loss, time.perf_counter() - t0, int(skipped)
 
 
-def write_loss_curve(path, curve):
-    lines = ["iteration,lr,loss"]
-    for it, lr, loss in curve:
-        lines.append(f"{it},{lr!r},{loss!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+CURVE_COLUMNS = ("iteration", "lr", "loss", "wall_s", "skipped")
+
+
+def write_loss_curve(path, rows) -> list:
+    """Write a header of CURVE_COLUMNS, then each row as the iterable
+    yields it, one flushed line each, so an interrupted run keeps every
+    finished row.
+    Values are written by repr, so floats read back exactly. Returns the
+    rows."""
+    out = []
+    with open(path, "w", buffering=1) as fh:  # line-buffered: each line is flushed
+        fh.write(",".join(CURVE_COLUMNS) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+            out.append(row)
+    return out

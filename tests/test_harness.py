@@ -24,7 +24,9 @@ from mcse.dsp import TimeSignal, stft
 from mcse.optim import AdamWState, TrainConfig, adamw_step, lr_schedule
 from mcse.pipeline import init_two_stage_model
 from mcse.tensor import Tensor
-from mcse.train import Utterance, load_training_set, train, write_loss_curve
+import mcse.train
+from mcse.train import CURVE_COLUMNS, Utterance, load_training_set, train, write_loss_curve
+from mcse.wavio import write_wav
 
 
 def tiny_model(seed: int = 0):
@@ -361,6 +363,18 @@ class TestTrainLoop:
         curve = train(tiny_data(model), model, cfg)
         assert curve[-1][2] < curve[0][2]
 
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "joint"])
+    def test_float32_end_to_end(self, stage):
+        """On a float32 model the loss and every gradient of the stage stay
+        float32: no constant in the loss or the scaling promotes them."""
+        model = tiny_model(seed=1)
+        loss = mcse.train._utterance_loss(tiny_data(model)[0], model, stage)
+        (loss * (1.0 / 3)).backward()
+        assert loss.dtype == np.float32
+        params = model.stage_params(stage)
+        assert {name: p.grad.dtype for name, p in params.items()} == {
+            name: np.dtype(np.float32) for name in params}
+
     def test_empty_data_raises(self):
         with pytest.raises(ValueError):
             train([], tiny_model(), TrainConfig())
@@ -370,10 +384,11 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=1, max_iters=2, stage="stage1", seed=5)
         curve = train(tiny_data(model), model, cfg, out_dir=tmp_path / "run")
         csv = (tmp_path / "run" / "loss_curve.csv").read_text().splitlines()
-        assert csv[0] == "iteration,lr,loss"
+        assert csv[0] == "iteration,lr,loss,wall_s,skipped"
         assert len(csv) == len(curve) + 1
-        it, lr, loss = csv[1].split(",")
+        it, lr, loss, wall_s, skipped = csv[1].split(",")
         assert (int(it), float(lr), float(loss)) == curve[0]
+        assert float(wall_s) > 0.0 and skipped == "0"
         loaded, opt, _ = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         assert opt is not None and opt.step == 2
         np.testing.assert_array_equal(
@@ -383,12 +398,35 @@ class TestTrainLoop:
 
     def test_write_loss_curve_round_trips_floats(self, tmp_path):
         path = tmp_path / "curve.csv"
-        curve = [(0, 1e-3, 0.123456789012345), (1, 5e-4, 0.1)]
-        write_loss_curve(path, curve)
+        rows = [(0, 1e-3, 0.123456789012345, 0.25, 0), (1, 5e-4, 0.1, 1 / 3, 1)]
+        assert write_loss_curve(path, iter(rows)) == rows
         lines = path.read_text().splitlines()
-        for line, (it, lr, loss) in zip(lines[1:], curve):
+        assert lines[0].split(",") == list(CURVE_COLUMNS)
+        for line, (it, lr, loss, wall_s, skipped) in zip(lines[1:], rows, strict=True):
             f = line.split(",")
             assert int(f[0]) == it and float(f[1]) == lr and float(f[2]) == loss
+            assert float(f[3]) == wall_s and int(f[4]) == skipped
+
+    def test_loss_curve_streams_each_row(self, tmp_path, monkeypatch):
+        """A non-finite gradient in the first iteration shows as skipped = 1
+        in its row, and each row is on disk before the next iteration
+        starts."""
+        path = tmp_path / "run" / "loss_curve.csv"
+        real_loss, seen = mcse.train.total_loss, []
+
+        def loss_nan_first(est, tgt):
+            seen.append(path.read_text().splitlines())
+            loss = real_loss(est, tgt)
+            return loss * np.nan if len(seen) == 1 else loss
+
+        monkeypatch.setattr(mcse.train, "total_loss", loss_nan_first)
+        model = tiny_model(seed=1)
+        cfg = TrainConfig(batch_size=1, max_iters=3, stage="stage1", seed=5)
+        curve = train(tiny_data(model), model, cfg, out_dir=tmp_path / "run")
+        assert [len(lines) for lines in seen] == [1, 2, 3]
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [r[4] for r in rows] == ["1", "0", "0"]
+        assert np.isnan(curve[0][2]) and np.isfinite(curve[1][2])
 
 
 class TestCli:
@@ -538,22 +576,6 @@ class TestCli:
         rc = main(["evaluate", "--ref", str(tmp_path / "ref"), "--est", str(tmp_path / "est")])
         assert rc == 1
 
-    def test_enhance_non_finite_input_exits_1(self, tmp_path, capsys):
-        from mcse.wavio import write_wav
-
-        ckpt = tmp_path / "model.bin"
-        save_checkpoint(ckpt, tiny_model())
-        samples = np.zeros((2, 2000))
-        samples[0, 123] = np.nan
-        wav = tmp_path / "mix.wav"
-        write_wav(wav, TimeSignal(samples, 16000))
-        out = tmp_path / "out.wav"
-        rc = main(["enhance", "--model", str(ckpt), "--in", str(wav), "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "channel 0, sample 123" in err
-        assert not out.exists()
-
     def test_mvdr_without_oracle_refs_exits_2(self, tmp_path):
         from mcse.wavio import write_wav
 
@@ -590,3 +612,68 @@ class TestCli:
 
         out = read_wav(out_wav)
         assert out.channels == 1 and out.length == read_wav(mix).length
+
+
+def _write_signal(path, channels=2, rate=16000, nan_at=None):
+    samples = 0.1 * np.random.default_rng(0).standard_normal((channels, 2000))
+    if nan_at is not None:
+        samples[nan_at] = np.nan
+    write_wav(path, TimeSignal(samples, rate))
+
+
+class TestBadInputs:
+    """Each entry point refuses a file with a non-finite sample, or at the
+    wrong rate, before any work: exit 2, the file named, nothing written."""
+
+    # (command, files it reads: name -> channels, its other arguments)
+    COMMANDS = {
+        "enhance": ({"mix": 2}, "enhance --model {d}/model.bin --in {d}/mix.wav --out {d}/out.wav"),
+        "baseline": ({"mix": 2, "s": 2, "n": 2},
+                     "baseline mvdr --in {d}/mix.wav --speech-ref {d}/s.wav "
+                     "--noise-ref {d}/n.wav --out {d}/out.wav"),
+        "evaluate": ({"ref/u0": 1, "est/u0": 1},
+                     "evaluate --ref {d}/ref --est {d}/est --out {d}/out.txt"),
+        "train": ({"u0_mix": 2, "u0_revclean": 2, "u0_dry": 1},
+                  "train --data {d}/manifest.txt --out {d}/out --config {d}/train.cfg"),
+    }
+
+    # (command, the bad file, its fault, the message after its name)
+    CASES = [
+        ("enhance", "mix", "nan", "non-finite sample (nan) at channel 1, sample 123"),
+        ("enhance", "mix", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
+        ("enhance", "mix", "channels", "channel count 3, expected 2"),
+        ("baseline", "mix", "nan", "non-finite sample (nan) at channel 1, sample 123"),
+        ("baseline", "s", "nan", "non-finite sample (nan) at channel 1, sample 123"),
+        ("baseline", "n", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
+        ("baseline", "s", "channels", "channel count 3, expected 2"),
+        ("evaluate", "ref/u0", "nan", "non-finite sample (nan) at channel 0, sample 123"),
+        ("evaluate", "est/u0", "nan", "non-finite sample (nan) at channel 0, sample 123"),
+        ("evaluate", "est/u0", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
+        ("train", "u0_mix", "nan", "non-finite sample (nan) at channel 1, sample 123"),
+        ("train", "u0_revclean", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
+        ("train", "u0_dry", "channels", "channel count 2, expected 1"),
+    ]
+
+    @pytest.mark.parametrize("command, bad, fault, message", CASES,
+                             ids=[f"{c}-{b.split('/')[0]}-{f}" for c, b, f, _ in CASES])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, bad, fault, message):
+        files, args = self.COMMANDS[command]
+        for name, channels in files.items():
+            path = tmp_path / f"{name}.wav"
+            path.parent.mkdir(exist_ok=True)
+            if name != bad:
+                _write_signal(path, channels)
+            elif fault == "nan":
+                _write_signal(path, channels, nan_at=(channels - 1, 123))
+            elif fault == "rate":
+                _write_signal(path, channels, rate=8000)
+            else:
+                _write_signal(path, channels + 1)
+        save_checkpoint(tmp_path / "model.bin", tiny_model())
+        (tmp_path / "manifest.txt").write_text(
+            "u0 mix=u0_mix.wav revclean=u0_revclean.wav dry=u0_dry.wav "
+            "snr_db=5.0 src=1,1,1 noise=2,2,2\n")
+        (tmp_path / "train.cfg").write_text("width_scale = 1/16\nmax_iters = 1\n")
+        assert main(args.format(d=tmp_path).split()) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / bad}.wav: {message}\n"
+        assert not list(tmp_path.glob("out*"))

@@ -146,3 +146,17 @@ class TestTotalLoss:
         v1 = float(total_loss(s, t).data)
         v2 = float(total_loss((re, im), (0.5 * re, 0.5 * im)).data)
         np.testing.assert_allclose(v1, v2, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_operand_dtype(self, dtype):
+        """eps and alpha are scalars, so they take the operands' dtype: a
+        float32 estimate gets a float32 loss and float32 gradients."""
+        def pair():
+            return [Tensor(rng.standard_normal((2, 5)).astype(dtype), requires_grad=True)
+                    for _ in range(2)]
+
+        est, tgt = pair(), pair()
+        loss = total_loss(est, tgt)
+        loss.backward()
+        assert loss.dtype == dtype
+        assert [t.grad.dtype for t in est + tgt] == [dtype] * 4

@@ -1,10 +1,13 @@
 """Reverse-mode engine: per-op gradients against central differences,
 plus graph mechanics (accumulation, broadcasting, no_grad, reuse)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from mcse.tensor import Tensor, concat, magnitude, no_grad, relu, take
+from mcse.tensor import Tensor, _accum, concat, magnitude, make_node, no_grad, relu, take
 
 from gradcheck import check_grads
 
@@ -173,3 +176,63 @@ class TestGraphMechanics:
         (a * b).sum().backward()
         assert a.grad.shape == (3, 1)
         np.testing.assert_allclose(a.grad, b.data.sum(axis=1, keepdims=True))
+
+
+class TestScalarDtype:
+    """A Python or 0-d scalar operand takes the dtype of the Tensor it meets."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scalar", [0.5, 2, np.float64(0.5), np.array(0.5), np.float32(0.5)],
+                             ids=["float", "int", "np.float64", "0-d", "np.float32"])
+    def test_scalar_takes_tensor_dtype(self, dtype, scalar):
+        x = Tensor(np.arange(3, dtype=dtype), requires_grad=True)
+        outs = [x + scalar, scalar + x, x - scalar, scalar - x, x * scalar, scalar * x, -x]
+        assert [o.dtype for o in outs] == [dtype] * len(outs)
+        sum(o.sum() for o in outs).backward()
+        assert x.grad.dtype == dtype
+
+    def test_values_match_numpy(self):
+        x = Tensor(np.array([1.5, -2.0], dtype=np.float32))
+        np.testing.assert_array_equal((1e-8 + x).data, x.data + np.float32(1e-8))
+        np.testing.assert_array_equal((3.0 - x).data, np.float32(3.0) - x.data)
+
+    def test_tensor_operands_promote_as_numpy(self):
+        x32 = Tensor(np.ones(2, dtype=np.float32))
+        x64 = Tensor(np.ones(2, dtype=np.float64))
+        assert (x32 + x64).dtype == np.float64
+        assert (x32 * np.ones(2)).dtype == np.float64  # arrays are not scalars
+
+
+class TestTapeFreeing:
+    def test_only_leaves_and_root_keep_grads(self):
+        x = Tensor(r(3), requires_grad=True)
+        w = Tensor(r(3), requires_grad=True)
+        h = x * w
+        y = relu(h) + h
+        loss = y.sum()
+        loss.backward()
+        assert h.grad is None and y.grad is None
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        np.testing.assert_allclose(x.grad, w.data * ((h.data > 0) + 1.0))
+        np.testing.assert_allclose(w.grad, x.data * ((h.data > 0) + 1.0))
+
+    def test_interior_node_dies_during_the_walk(self):
+        """The walk runs loss, then b, then a: by the time a's backward
+        runs, b, which nothing outside the tape holds, is collected."""
+        x = Tensor(r(3), requires_grad=True)
+        seen = []
+
+        def a_backward(g):
+            gc.collect()
+            seen.append(b_ref())
+            _accum(x, g)
+
+        a = make_node(x.data.copy(), (x,), a_backward)
+        b = a * 3.0
+        b_ref = weakref.ref(b)
+        loss = b.sum()
+        del b
+        assert b_ref() is not None
+        loss.backward()
+        assert seen == [None]
+        np.testing.assert_array_equal(x.grad, 3.0)
