@@ -428,7 +428,7 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
 
 def _lstm_backward(cache, grad):
     """BPTT through one _lstm_forward(keep=True) direction for grad (B, T,
-    H) of its h, in the gates' dtype. Returns (dx, dw_ih, dw_hh, db).
+    H) of its h. Returns (dx, dw_ih, dw_hh, db).
 
     Spends the cache: each step's gate pre-activation derivatives dz are
     written over that step's activated gate row, which no later (earlier

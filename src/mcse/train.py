@@ -146,9 +146,8 @@ CURVE_COLUMNS = ("iteration", "lr", "loss", "wall_s", "skipped")
 def write_loss_curve(path, rows) -> list:
     """Write a header of CURVE_COLUMNS, then each row as the iterable
     yields it, one flushed line each, so an interrupted run keeps every
-    finished row.
-    Values are written by repr, so floats read back exactly. Returns the
-    rows."""
+    finished row. Values are written by repr, so floats read back exactly.
+    Returns the rows."""
     out = []
     with open(path, "w", buffering=1) as fh:  # line-buffered: each line is flushed
         fh.write(",".join(CURVE_COLUMNS) + "\n")
