@@ -1,26 +1,24 @@
-"""Binary checkpoints: magic + version, a JSON architecture descriptor,
-then named float32 little-endian tensors. Parameters, batchnorm buffers,
-and (optionally) optimizer state all ride the same tensor table, so a
-save/load round trip is bit-exact and training can resume exactly.
+"""Binary checkpoints: magic + version, a JSON header of the values the
+model's init function builds it from, then named float32 little-endian
+tensors. Parameters, batchnorm buffers and (optionally) optimizer state
+all ride the same tensor table, so a save/load round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import FilterSumModel
-from .crn import CrnConfig, init_crn_params
+from .baselines import FilterSumModel, init_filter_sum_model
 from .optim import AdamWState
-from .pipeline import StftSettings, TwoStageModel, init_spatial_params
+from .pipeline import TwoStageModel, init_two_stage_model
 
 MAGIC = b"MCSECKPT"
-VERSION = 1
+VERSION = 2
 
 def _write_tensors(fh, tensors: dict):
     fh.write(struct.pack("<I", len(tensors)))
@@ -63,83 +61,35 @@ def _read_tensors(fh) -> dict:
     return out
 
 
-class _NoDraws:
-    """Stands in for the init generator when load_checkpoint only needs the
-    model layout: each weight comes back unwritten, with no random draws,
-    and is replaced by the stored tensor."""
+class _Layout(np.random.Generator):
+    """Passed as the init seed when load_checkpoint only needs the model
+    layout (np.random.default_rng returns a Generator as it is): each weight
+    comes back unwritten, with no random draws, and is replaced by the
+    stored tensor."""
 
-    @staticmethod
-    def uniform(low, high, size):
+    def uniform(self, low=0.0, high=1.0, size=None):
         return np.empty(size, dtype=np.float32)
 
 
-def _crn_descriptor(cfg: CrnConfig) -> dict:
-    return {
-        "c_in": cfg.c_in,
-        "c_out": cfg.c_out,
-        "width_scale": str(cfg.width_scale),
-        "freq_bins": cfg.freq_bins,
-    }
-
-
-def _crn_from_descriptor(d: dict) -> CrnConfig:
-    # older files also carry decoder_mode, which never changed the network,
-    # and dual_decoder, which is true for every CRN this package builds
-    if not d.get("dual_decoder", True):
-        raise ValueError("dual_decoder: false is not supported; every CRN has two decoders")
-    return CrnConfig(
-        c_in=int(d["c_in"]),
-        c_out=int(d["c_out"]),
-        width_scale=Fraction(d["width_scale"]),
-        freq_bins=int(d["freq_bins"]),
-    )
-
-
-def _two_stage_header(model: TwoStageModel) -> dict:
-    return {
-        "p_channels": model.p_channels,
-        "stage1": _crn_descriptor(model.stage1.config),
-        "stage2": _crn_descriptor(model.stage2.config),
-        "stft": asdict(model.stft),
-    }
-
-
-def _two_stage_model(header: dict, rng: np.random.Generator) -> TwoStageModel:
-    return TwoStageModel(
-        p_channels=int(header["p_channels"]),
-        stage1=init_crn_params(_crn_from_descriptor(header["stage1"]), rng),
-        spatial=init_spatial_params(int(header["p_channels"]), rng),
-        stage2=init_crn_params(_crn_from_descriptor(header["stage2"]), rng),
-        stft=StftSettings(**header["stft"]),
-    )
-
-
-def _filter_sum_header(model: FilterSumModel) -> dict:
-    return {"p_channels": model.p_channels, "crn": _crn_descriptor(model.crn.config)}
-
-
-def _filter_sum_model(header: dict, rng: np.random.Generator) -> FilterSumModel:
-    return FilterSumModel(
-        int(header["p_channels"]), init_crn_params(_crn_from_descriptor(header["crn"]), rng)
-    )
-
-
-# kind -> (model class, model -> header fields, (header, layout rng) -> model)
+# kind -> (model class, its init function, the CRN whose config the header holds)
 KINDS = {
-    "two_stage": (TwoStageModel, _two_stage_header, _two_stage_model),
-    "filter_sum": (FilterSumModel, _filter_sum_header, _filter_sum_model),
+    "two_stage": (TwoStageModel, init_two_stage_model, "stage1"),
+    "filter_sum": (FilterSumModel, init_filter_sum_model, "crn"),
 }
+HEADER_KEYS = {"kind", "p_channels", "width_scale", "freq_bins", "optimizer_step"}
 
 
 def save_checkpoint(path, model, optimizer: AdamWState | None = None):
     """Serialize a TwoStageModel or FilterSumModel with optional optimizer
     state. Tensors are written as float32 regardless of working dtype."""
-    for kind, (cls, to_header, _) in KINDS.items():
+    for kind, (cls, _, crn) in KINDS.items():
         if isinstance(model, cls):
             break
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    header = {"kind": kind, **to_header(model),
+    config = getattr(model, crn).config
+    header = {"kind": kind, "p_channels": model.p_channels,
+              "width_scale": str(config.width_scale), "freq_bins": config.freq_bins,
               "optimizer_step": optimizer.step if optimizer is not None else None}
 
     tensors = {}
@@ -172,7 +122,8 @@ def load_checkpoint(path):
             raise ValueError(f"{path} is not a checkpoint (bad magic {magic!r})")
         (version,) = struct.unpack("<I", _read(fh, 4, "version"))
         if version != VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(
+                f"{path} is checkpoint version {version}; this package reads version {VERSION}")
         (hlen,) = struct.unpack("<I", _read(fh, 4, "header length"))
         header = json.loads(_read(fh, hlen, "header").decode())
         tensors = _read_tensors(fh)
@@ -181,10 +132,14 @@ def load_checkpoint(path):
         if size != end:
             raise ValueError(f"checkpoint has {size - end} trailing bytes after the tensor table")
 
-    kind = header.get("kind")
+    if not isinstance(header, dict) or set(header) != HEADER_KEYS:
+        raise ValueError(f"checkpoint header {header!r} does not hold exactly the keys "
+                         f"{sorted(HEADER_KEYS)}")
+    kind = header["kind"]
     if kind not in KINDS:
         raise ValueError(f"unsupported model kind {kind!r}")
-    model = KINDS[kind][2](header, _NoDraws())
+    model = KINDS[kind][1](int(header["p_channels"]), Fraction(header["width_scale"]),
+                           int(header["freq_bins"]), seed=_Layout(np.random.PCG64(0)))
 
     params = model.named_params()
     buffers = model.named_buffers()

@@ -125,14 +125,12 @@ def _cmd_train(args) -> int:
 
         model, _, _ = load_checkpoint(args.model)
     else:
-        entries_probe = read_wav_channels(args.data)
         model = init_two_stage_model(
-            p_channels=cfg.get("p_channels", entries_probe),
+            p_channels=read_wav_channels(args.data),
             width_scale=cfg.get("width_scale", 1),
-            freq_bins=cfg.get("freq_bins", 256),
             seed=config.seed,
         )
-    data = load_training_set(args.data, model.stft, model.p_channels)
+    data = load_training_set(args.data, model.p_channels)
     curve = train(data, model, config, out_dir=args.out)
     print(f"trained {config.stage} for {len(curve)} iterations; "
           f"final loss {curve[-1][2]:.6f}; run dir {args.out}")
@@ -167,9 +165,17 @@ def _cmd_baseline(args) -> int:
         if getattr(args, flag[2:].replace("-", "_")) is not None and args.method != method:
             print(f"error: {flag} is not used by baseline {args.method}", file=sys.stderr)
             return 2
-    model = " --model" if args.method == "filtersum" and args.model else ""
-    cfg = _config(args, f"baseline {args.method}{model}")
-    x = _read_checked(args.input)
+    mode = " --model" if args.model else ""
+    cfg = _config(args, f"baseline {args.method}{mode}")
+    channels = None
+    if args.model:  # filtersum, the one method that reads it
+        from .checkpoint import load_checkpoint
+
+        model, _, header = load_checkpoint(args.model)
+        if header["kind"] != "filter_sum":
+            raise ValueError(f"{args.model} holds a {header['kind']!r} model, not filter_sum")
+        channels = model.p_channels
+    x = _read_checked(args.input, channels=channels)
 
     if args.method == "wpe":
         out_spec = B.wpe(
@@ -204,19 +210,9 @@ def _cmd_baseline(args) -> int:
             forgetting=cfg.get("mvdr_forgetting", B.MVDR_FORGETTING),
         )
     elif args.method == "filtersum":
-        if args.model:
-            from .checkpoint import load_checkpoint
-
-            model, _, header = load_checkpoint(args.model)
-            if header.get("kind") != "filter_sum":
-                raise ValueError(
-                    f"{args.model} holds a {header.get('kind')!r} model, not filter_sum"
-                )
-        else:
+        if not args.model:
             model = B.init_filter_sum_model(
-                y.channels, width_scale=cfg.get("width_scale", 1),
-                freq_bins=cfg.get("freq_bins", 256), seed=args.seed,
-            )
+                y.channels, width_scale=cfg.get("width_scale", 1), seed=args.seed)
         out_spec = B.filter_and_sum_nn(y, model)
     else:  # unreachable behind argparse choices
         return 2
@@ -251,8 +247,10 @@ def _cmd_evaluate(args) -> int:
             return 1
         ref = _read_checked(ref_path)
         est = _read_checked(est_path, ref.sample_rate)
-        n = min(ref.length, est.length)
-        score = stoi(ref.samples[0, :n], est.samples[0, :n], ref.sample_rate)
+        if est.length != ref.length:
+            raise SignalError(
+                f"{est_path}: length {est.length} samples, expected {ref.length} as in {ref_path}")
+        score = stoi(ref.samples[0], est.samples[0], ref.sample_rate)
         wer_score = None
         if args.ref_transcripts and args.est_transcripts:
             rt = Path(args.ref_transcripts) / (ref_path.stem + ".txt")

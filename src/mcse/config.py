@@ -43,8 +43,6 @@ KEYS = {
         "seed": int,
         "stage": str,
         "width_scale": Fraction,
-        "freq_bins": int,
-        "p_channels": int,
     },
     "baseline": {
         "wpe_taps": int,
@@ -53,18 +51,17 @@ KEYS = {
         "mvdr_mode": str,
         "mvdr_forgetting": float,
         "width_scale": Fraction,
-        "freq_bins": int,
     },
 }
 
 
 # "subcommand mode" -> the part of the subcommand's table that mode reads
 MODE_KEYS = {
-    "train --model": set(KEYS["train"]) - {"width_scale", "freq_bins", "p_channels"},
+    "train --model": set(KEYS["train"]) - {"width_scale"},
     "baseline ds": set(),
     "baseline wpe": {"wpe_taps", "wpe_delay", "wpe_iterations"},
     "baseline mvdr": {"mvdr_mode", "mvdr_forgetting"},
-    "baseline filtersum": {"width_scale", "freq_bins"},
+    "baseline filtersum": {"width_scale"},
     "baseline filtersum --model": set(),
 }
 

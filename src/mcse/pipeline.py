@@ -17,7 +17,7 @@ spectrogram estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +41,7 @@ SPATIAL_HIDDEN = 64
 SPATIAL_LAYERS = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class StftSettings:
     frame_size: int = FRAME_SIZE
     hop: int = HOP_SIZE
@@ -55,7 +55,7 @@ class TwoStageModel:
     stage1: CrnParams
     spatial: dict
     stage2: CrnParams
-    stft: StftSettings = field(default_factory=StftSettings)
+    stft = StftSettings()  # the one front end every model shares
 
     def named_params(self) -> dict:
         out = {}

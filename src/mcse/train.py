@@ -41,13 +41,14 @@ class Utterance:
     dry: Spectrogram
 
 
-def load_training_set(manifest_path, settings, channels: int | None = None) -> list:
-    """Utterances of a manifest, as spectrograms under settings. Every file
-    must be at settings.sample_rate with finite samples, the mixture (of
-    `channels` channels, when given) and the reverberant clean images with
-    one channel each per microphone, the dry source with one; any other
-    file is refused by name (dsp.check_signal)."""
+def load_training_set(manifest_path, channels: int | None = None) -> list:
+    """Utterances of a manifest, as spectrograms under TwoStageModel.stft.
+    Every file must be at its sample rate with finite samples, the mixture
+    (of `channels` channels, when given) and the reverberant clean images
+    with one channel each per microphone, the dry source with one; any
+    other file is refused by name (dsp.check_signal)."""
     entries = read_manifest(manifest_path)
+    settings = TwoStageModel.stft
     rate = settings.sample_rate
     out = []
     for e in entries:

@@ -312,7 +312,7 @@ def test_c8_overfit_single_utterance(tmp_path):
                                            seconds=0.7, seed=11))
     model = init_two_stage_model(p_channels=8, width_scale=Fraction(1, 8),
                                  freq_bins=256, seed=0)
-    data = load_training_set(manifest, model.stft)
+    data = load_training_set(manifest)
 
     c1 = train(data, model, TrainConfig(batch_size=1, lr=1e-2, max_iters=150,
                                         stage="stage1", seed=0,

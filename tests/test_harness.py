@@ -22,7 +22,7 @@ from mcse.cli import main
 from mcse.config import KEYS, ConfigError, load_config, parse_config_text
 from mcse.dsp import TimeSignal, stft
 from mcse.optim import AdamWState, TrainConfig, adamw_step, lr_schedule
-from mcse.pipeline import init_two_stage_model
+from mcse.pipeline import enhance, init_two_stage_model
 from mcse.tensor import Tensor
 import mcse.train
 from mcse.train import CURVE_COLUMNS, Utterance, load_training_set, train, write_loss_curve
@@ -138,7 +138,7 @@ class TestConfigParsing:
         assert parse_config_text("seconds = 1.5", "simulate") == {"seconds": 1.5}
 
     def test_each_subcommand_has_its_own_keys(self):
-        assert {c: len(k) for c, k in KEYS.items()} == {"simulate": 11, "train": 10, "baseline": 7}
+        assert {c: len(k) for c, k in KEYS.items()} == {"simulate": 11, "train": 8, "baseline": 6}
         # baseline takes its seed from --seed only
         assert "seed" not in KEYS["baseline"]
         with pytest.raises(ConfigError, match=r"x\.cfg:1: .*'lr' for simulate"):
@@ -176,7 +176,8 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         loaded, opt, header = load_checkpoint(path)
 
-        assert header["kind"] == "two_stage"
+        assert header == {"kind": "two_stage", "p_channels": 2, "width_scale": "1/16",
+                          "freq_bins": 256, "optimizer_step": None}
         assert opt is None
         assert loaded.stft == model.stft
         src = model.named_params()
@@ -186,6 +187,8 @@ class TestCheckpoint:
             np.testing.assert_array_equal(src[name].data, dst[name].data)
         for name, buf in model.named_buffers().items():
             np.testing.assert_array_equal(buf, loaded.named_buffers()[name])
+        x = TimeSignal(0.1 * np.random.default_rng(3).standard_normal((2, 3000)), 16000)
+        assert enhance(x, loaded).samples.tobytes() == enhance(x, model).samples.tobytes()
 
     def test_optimizer_subset_round_trip(self, tmp_path):
         model = tiny_model(seed=2)
@@ -211,52 +214,21 @@ class TestCheckpoint:
         path = tmp_path / "fs.bin"
         save_checkpoint(path, model)
         loaded, _, header = load_checkpoint(path)
-        assert header["kind"] == "filter_sum"
+        assert header == {"kind": "filter_sum", "p_channels": 2, "width_scale": "1/16",
+                          "freq_bins": 256, "optimizer_step": None}
         assert loaded.p_channels == 2
         src, dst = model.named_params(), loaded.named_params()
         assert set(src) == set(dst)
         for name in src:
             np.testing.assert_array_equal(src[name].data, dst[name].data)
 
-    def test_version1_legacy_crn_descriptors(self, tmp_path):
-        """Version-1 files that still carry decoder_mode and dual_decoder in
-        each CRN descriptor, and the init notes and extra fields that older
-        writers put in every header, load bit-exact; dual_decoder false is
-        refused."""
-        model = tiny_model(seed=4)
-        for b in model.named_buffers().values():
-            b += np.random.default_rng(2).standard_normal(b.shape).astype(b.dtype) * 0.1
-        path = tmp_path / "legacy.bin"
-        save_checkpoint(path, model)
+    def test_version1_is_refused(self, tmp_path):
+        path = tmp_path / "old.bin"
+        save_checkpoint(path, tiny_model())
         raw = path.read_bytes()
-        start = len(MAGIC) + 4  # magic, then the version word
-        (hlen,) = struct.unpack("<I", raw[start:start + 4])
-        header = json.loads(raw[start + 4:start + 4 + hlen])
-        tensors = raw[start + 4 + hlen:]
-
-        def write_legacy(dual):
-            header["stage1"].update(decoder_mode="mask", dual_decoder=dual)
-            header["stage2"].update(decoder_mode="map", dual_decoder=dual)
-            header["init"] = {
-                "weights": "uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) per matrix",
-                "biases": "zero",
-                "prelu_slope": 0.25,
-                "bn": "gamma 1, beta 0, running mean 0, running var 1",
-                "lstm": "single bias per gate block, gate order i,f,g,o, zero initial state",
-            }
-            header["extra"] = {"note": "legacy"}
-            hdr = json.dumps(header, sort_keys=True).encode()
-            path.write_bytes(raw[:start] + struct.pack("<I", len(hdr)) + hdr + tensors)
-
-        write_legacy(True)
-        loaded, _, _ = load_checkpoint(path)
-        for name, t in model.named_params().items():
-            np.testing.assert_array_equal(t.data, loaded.named_params()[name].data)
-        for name, buf in model.named_buffers().items():
-            np.testing.assert_array_equal(buf, loaded.named_buffers()[name])
-
-        write_legacy(False)
-        with pytest.raises(ValueError, match="dual_decoder"):
+        start = len(MAGIC)  # then the version word
+        path.write_bytes(raw[:start] + struct.pack("<I", 1) + raw[start + 4:])
+        with pytest.raises(ValueError, match="checkpoint version 1;"):
             load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
@@ -318,6 +290,22 @@ class TestCorruptCheckpoint:
         record = struct.pack("<H", len(nb)) + nb + struct.pack("<BIf", 1, 1, 0.5)
         path.write_bytes(raw[:table] + struct.pack("<I", count + 1) + raw[table + 4:] + record)
         with pytest.raises(ValueError, match=f"unknown tensor '{name}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("add, drop", [
+        ({"stft": {"hop": 64}}, None), ({}, "freq_bins"),
+    ], ids=["extra_key", "missing_key"])
+    def test_header_without_exactly_the_v2_keys_is_refused(self, small_checkpoint, add, drop):
+        raw, path = small_checkpoint
+        start = len(MAGIC) + 4  # magic, then the version word
+        (hlen,) = struct.unpack("<I", raw[start:start + 4])
+        header = json.loads(raw[start + 4:start + 4 + hlen])
+        header.update(add)
+        header.pop(drop, None)
+        hdr = json.dumps(header).encode()
+        path.write_bytes(raw[:start] + struct.pack("<I", len(hdr)) + hdr
+                         + raw[start + 4 + hlen:])
+        with pytest.raises(ValueError, match="does not hold exactly the keys"):
             load_checkpoint(path)
 
 
@@ -461,8 +449,8 @@ class TestCli:
         ("baseline wpe --in {d}/x.wav --out {d}/y.wav", "mvdr_mode = frame"),
         ("baseline mvdr --in {d}/x.wav --out {d}/y.wav", "width_scale = 1/8"),
         ("baseline filtersum --model {d}/m.bin --in {d}/x.wav --out {d}/y.wav",
-         "freq_bins = 128"),
-        ("train --model {d}/m.bin --data {d}/m.txt --out {d}/run", "p_channels = 4"),
+         "width_scale = 1/8"),
+        ("train --model {d}/m.bin --data {d}/m.txt --out {d}/run", "width_scale = 1/8"),
     ], ids=["wpe_key-ds", "mvdr_key-wpe", "model_key-mvdr", "model_key-filtersum_model",
             "model_key-train_model"])
     def test_key_its_mode_does_not_read_exits_2(self, tmp_path, capsys, command, line):
@@ -614,8 +602,8 @@ class TestCli:
         assert out.channels == 1 and out.length == read_wav(mix).length
 
 
-def _write_signal(path, channels=2, rate=16000, nan_at=None):
-    samples = 0.1 * np.random.default_rng(0).standard_normal((channels, 2000))
+def _write_signal(path, channels=2, rate=16000, nan_at=None, length=2000):
+    samples = 0.1 * np.random.default_rng(0).standard_normal((channels, length))
     if nan_at is not None:
         samples[nan_at] = np.nan
     write_wav(path, TimeSignal(samples, rate))
@@ -623,7 +611,8 @@ def _write_signal(path, channels=2, rate=16000, nan_at=None):
 
 class TestBadInputs:
     """Each entry point refuses a file with a non-finite sample, or at the
-    wrong rate, before any work: exit 2, the file named, nothing written."""
+    wrong rate, channel count or length, before any work: exit 2, the file
+    named, nothing written."""
 
     # (command, files it reads: name -> channels, its other arguments)
     COMMANDS = {
@@ -631,6 +620,8 @@ class TestBadInputs:
         "baseline": ({"mix": 2, "s": 2, "n": 2},
                      "baseline mvdr --in {d}/mix.wav --speech-ref {d}/s.wav "
                      "--noise-ref {d}/n.wav --out {d}/out.wav"),
+        "filtersum": ({"mix": 2},
+                      "baseline filtersum --model {d}/fs.bin --in {d}/mix.wav --out {d}/out.wav"),
         "evaluate": ({"ref/u0": 1, "est/u0": 1},
                      "evaluate --ref {d}/ref --est {d}/est --out {d}/out.txt"),
         "train": ({"u0_mix": 2, "u0_revclean": 2, "u0_dry": 1},
@@ -646,9 +637,12 @@ class TestBadInputs:
         ("baseline", "s", "nan", "non-finite sample (nan) at channel 1, sample 123"),
         ("baseline", "n", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
         ("baseline", "s", "channels", "channel count 3, expected 2"),
+        ("filtersum", "mix", "channels", "channel count 3, expected 2"),
         ("evaluate", "ref/u0", "nan", "non-finite sample (nan) at channel 0, sample 123"),
         ("evaluate", "est/u0", "nan", "non-finite sample (nan) at channel 0, sample 123"),
         ("evaluate", "est/u0", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
+        ("evaluate", "est/u0", "length",
+         "length 1200 samples, expected 2000 as in {d}/ref/u0.wav"),
         ("train", "u0_mix", "nan", "non-finite sample (nan) at channel 1, sample 123"),
         ("train", "u0_revclean", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
         ("train", "u0_dry", "channels", "channel count 2, expected 1"),
@@ -667,13 +661,18 @@ class TestBadInputs:
                 _write_signal(path, channels, nan_at=(channels - 1, 123))
             elif fault == "rate":
                 _write_signal(path, channels, rate=8000)
+            elif fault == "length":
+                _write_signal(path, channels, length=1200)
             else:
                 _write_signal(path, channels + 1)
         save_checkpoint(tmp_path / "model.bin", tiny_model())
+        save_checkpoint(tmp_path / "fs.bin",
+                        B.init_filter_sum_model(2, width_scale=Fraction(1, 16), seed=5))
         (tmp_path / "manifest.txt").write_text(
             "u0 mix=u0_mix.wav revclean=u0_revclean.wav dry=u0_dry.wav "
             "snr_db=5.0 src=1,1,1 noise=2,2,2\n")
         (tmp_path / "train.cfg").write_text("width_scale = 1/16\nmax_iters = 1\n")
         assert main(args.format(d=tmp_path).split()) == 2
-        assert capsys.readouterr().err == f"error: {tmp_path / bad}.wav: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / bad}.wav: {message.format(d=tmp_path)}\n")
         assert not list(tmp_path.glob("out*"))
