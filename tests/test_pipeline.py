@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mcse import pipeline
 from mcse.crn import crn_forward
 from mcse.dsp import Spectrogram, TimeSignal
 from mcse.pipeline import (
@@ -165,6 +166,14 @@ class TestEnhance:
         model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
         with pytest.raises(ValueError):
             enhance(TimeSignal(rng.standard_normal((3, 2000)), 16000), model)
+
+    def test_trims_the_heap_once_per_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "_malloc_trim", calls.append)
+        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        for n in (1, 2):
+            enhance(TimeSignal(rng.standard_normal((2, 2000)), 16000), model)
+            assert calls == [0] * n
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_samples(self, bad):
