@@ -19,6 +19,7 @@ import numpy as np
 from .crn import CrnConfig, CrnParams, apply_crn_mask, init_crn_params
 from .dsp import Spectrogram, TimeSignal, istft, shift_fractional, stft
 from .layers import _pair
+from .simkit import SPEED_OF_SOUND
 from .tensor import no_grad
 
 WPE_TAPS = 10
@@ -51,13 +52,12 @@ def delay_and_sum(y: Spectrogram, delays) -> Spectrogram:
     return stft(TimeSignal(acc[None, :], y.sample_rate), y.frame_size, y.hop, y.fft_size)
 
 
-def geometry_delays(mic_positions: np.ndarray, source_position, sample_rate: int,
-                    speed_of_sound: float = 343.0) -> np.ndarray:
+def geometry_delays(mic_positions: np.ndarray, source_position, sample_rate: int) -> np.ndarray:
     """Direct-path delays in samples, offset so the earliest channel is 0."""
     mics = np.asarray(mic_positions, dtype=np.float64)
     src = np.asarray(source_position, dtype=np.float64)
     dist = np.linalg.norm(mics - src[None, :], axis=1)
-    delays = dist / speed_of_sound * sample_rate
+    delays = dist / SPEED_OF_SOUND * sample_rate
     return delays - delays.min()
 
 
@@ -320,12 +320,12 @@ class FilterSumModel:
 
 
 def init_filter_sum_model(p_channels: int, width_scale=1, freq_bins: int = 256,
-                          seed: int = 0, dtype=np.float32) -> FilterSumModel:
+                          seed: int = 0) -> FilterSumModel:
     cfg = CrnConfig(
         c_in=2 * p_channels, c_out=2 * p_channels, width_scale=width_scale, freq_bins=freq_bins,
     )
     rng = np.random.default_rng(seed)
-    return FilterSumModel(p_channels, init_crn_params(cfg, rng, dtype))
+    return FilterSumModel(p_channels, init_crn_params(cfg, rng))
 
 
 def filter_sum_tensors(y_re, y_im, model: FilterSumModel, training: bool = False):

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import baselines as B
 from .config import ConfigError, load_config
-from .dsp import SignalError, check_signal, istft, stft
+from .dsp import SAMPLE_RATE, SignalError, check_signal, istft, stft
 from .metrics import MetricReport, stoi, wer
 from .optim import TrainConfig
 from .pipeline import enhance, init_two_stage_model
-from .simkit import DatasetConfig, build_dataset
+from .simkit import DEFAULT_ROOM, DatasetConfig, build_dataset
 from .train import load_training_set, train
 from .wavio import read_wav, write_wav
 
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--speech-ref", help="clean-component WAV for oracle masks (mvdr)")
     ba.add_argument("--noise-ref", help="noise-component WAV for oracle masks (mvdr)")
     ba.add_argument("--model", help="checkpoint for filtersum")
-    ba.add_argument("--seed", type=int, default=0)
+    ba.add_argument("--seed", type=int, help="init seed of filtersum without --model")
 
     ev = sub.add_parser("evaluate", help="score estimates against references")
     ev.add_argument("--ref", required=True, help="directory of reference WAVs")
@@ -83,42 +83,25 @@ def _config(args, command) -> dict:
     return load_config(args.config, command) if args.config else {}
 
 
+def _flags_over(cfg: dict, **flags) -> dict:
+    """cfg with each flag that was given in place of its key."""
+    return dict(cfg, **{key: value for key, value in flags.items() if value is not None})
+
+
 def _cmd_simulate(args) -> int:
     cfg = _config(args, "simulate")
-    kwargs = {}
-    for key in ("num_utterances", "seconds", "seed", "snr_db_min", "snr_db_max",
-                "absorption", "max_image_order", "sample_rate"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    if "room_x" in cfg or "room_y" in cfg or "room_z" in cfg:
-        kwargs["room"] = (
-            cfg.get("room_x", 6.0), cfg.get("room_y", 5.0), cfg.get("room_z", 3.0)
-        )
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.count is not None:
-        kwargs["num_utterances"] = args.count
-    if args.seconds is not None:
-        kwargs["seconds"] = args.seconds
-    manifest = build_dataset(DatasetConfig(out_dir=args.out, **kwargs))
+    room = tuple(cfg.pop(f"room_{axis}", size) for axis, size in zip("xyz", DEFAULT_ROOM))
+    cfg = _flags_over(cfg, seed=args.seed, num_utterances=args.count, seconds=args.seconds)
+    manifest = build_dataset(DatasetConfig(out_dir=args.out, room=room, **cfg))
     print(f"wrote {manifest}")
     return 0
 
 
 def _cmd_train(args) -> int:
     cfg = _config(args, "train --model" if args.model else "train")
-    tc_kwargs = {}
-    for key in ("batch_size", "lr", "lr_halving_interval", "weight_decay",
-                "max_iters", "seed", "stage"):
-        if key in cfg:
-            tc_kwargs[key] = cfg[key]
-    if args.stage:
-        tc_kwargs["stage"] = args.stage
-    if args.seed is not None:
-        tc_kwargs["seed"] = args.seed
-    if args.iters is not None:
-        tc_kwargs["max_iters"] = args.iters
-    config = TrainConfig.desk(**tc_kwargs)
+    width_scale = cfg.pop("width_scale", 1)
+    config = TrainConfig(**_flags_over(cfg, stage=args.stage, seed=args.seed,
+                                       max_iters=args.iters))
 
     if args.model:
         from .checkpoint import load_checkpoint
@@ -127,7 +110,7 @@ def _cmd_train(args) -> int:
     else:
         model = init_two_stage_model(
             p_channels=read_wav_channels(args.data),
-            width_scale=cfg.get("width_scale", 1),
+            width_scale=width_scale,
             seed=config.seed,
         )
     data = load_training_set(args.data, model.p_channels)
@@ -155,18 +138,18 @@ def _cmd_enhance(args) -> int:
     return 0
 
 
-# (flag, the one baseline method that reads it)
+# (flag, the one baseline mode that reads it: a method, or filtersum --model)
 BASELINE_FLAGS = (("--delays", "ds"), ("--speech-ref", "mvdr"), ("--noise-ref", "mvdr"),
-                  ("--model", "filtersum"))
+                  ("--model", "filtersum --model"), ("--seed", "filtersum"))
 
 
 def _cmd_baseline(args) -> int:
-    for flag, method in BASELINE_FLAGS:
-        if getattr(args, flag[2:].replace("-", "_")) is not None and args.method != method:
-            print(f"error: {flag} is not used by baseline {args.method}", file=sys.stderr)
+    mode = f"{args.method} --model" if args.model and args.method == "filtersum" else args.method
+    for flag, reader in BASELINE_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None and mode != reader:
+            print(f"error: {flag} is not used by baseline {mode}", file=sys.stderr)
             return 2
-    mode = " --model" if args.model else ""
-    cfg = _config(args, f"baseline {args.method}{mode}")
+    cfg = _config(args, f"baseline {mode}")
     channels = None
     if args.model:  # filtersum, the one method that reads it
         from .checkpoint import load_checkpoint
@@ -175,7 +158,9 @@ def _cmd_baseline(args) -> int:
         if header["kind"] != "filter_sum":
             raise ValueError(f"{args.model} holds a {header['kind']!r} model, not filter_sum")
         channels = model.p_channels
-    x = _read_checked(args.input, channels=channels)
+    # the learned filter-and-sum is built for the 16 kHz front end
+    rate = SAMPLE_RATE if args.method == "filtersum" else None
+    x = _read_checked(args.input, rate, channels)
 
     if args.method == "wpe":
         out_spec = B.wpe(
@@ -212,7 +197,7 @@ def _cmd_baseline(args) -> int:
     elif args.method == "filtersum":
         if not args.model:
             model = B.init_filter_sum_model(
-                y.channels, width_scale=cfg.get("width_scale", 1), seed=args.seed)
+                y.channels, width_scale=cfg.get("width_scale", 1), seed=args.seed or 0)
         out_spec = B.filter_and_sum_nn(y, model)
     else:  # unreachable behind argparse choices
         return 2
@@ -245,8 +230,8 @@ def _cmd_evaluate(args) -> int:
         if not est_path.exists():
             print(f"missing estimate for {ref_path.name}", file=sys.stderr)
             return 1
-        ref = _read_checked(ref_path)
-        est = _read_checked(est_path, ref.sample_rate)
+        ref = _read_checked(ref_path, channels=1)
+        est = _read_checked(est_path, ref.sample_rate, 1)
         if est.length != ref.length:
             raise SignalError(
                 f"{est_path}: length {est.length} samples, expected {ref.length} as in {ref_path}")

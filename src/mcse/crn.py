@@ -99,17 +99,17 @@ class CrnParams:
     buffers: dict = field(default_factory=dict)
 
 
-def _init_block(params, buffers, rng, name, w_shape, fan_in, out_ch, dtype):
-    params[f"{name}.w"] = L.uniform_param(rng, w_shape, fan_in, dtype)
-    params[f"{name}.b"] = L.zeros_param((out_ch,), dtype)
-    params[f"{name}.bn.gamma"] = L.full_param((out_ch,), 1.0, dtype)
-    params[f"{name}.bn.beta"] = L.zeros_param((out_ch,), dtype)
-    params[f"{name}.prelu.a"] = L.full_param((out_ch,), 0.25, dtype)
-    buffers[f"{name}.bn.mean"] = np.zeros(out_ch, dtype=dtype)
-    buffers[f"{name}.bn.var"] = np.ones(out_ch, dtype=dtype)
+def _init_block(params, buffers, rng, name, w_shape, fan_in, out_ch):
+    params[f"{name}.w"] = L.uniform_param(rng, w_shape, fan_in)
+    params[f"{name}.b"] = L.zeros_param((out_ch,))
+    params[f"{name}.bn.gamma"] = L.full_param((out_ch,), 1.0)
+    params[f"{name}.bn.beta"] = L.zeros_param((out_ch,))
+    params[f"{name}.prelu.a"] = L.full_param((out_ch,), 0.25)
+    buffers[f"{name}.bn.mean"] = np.zeros(out_ch, dtype=np.float32)
+    buffers[f"{name}.bn.var"] = np.ones(out_ch, dtype=np.float32)
 
 
-def init_crn_params(config: CrnConfig, rng: np.random.Generator, dtype=np.float32) -> CrnParams:
+def init_crn_params(config: CrnConfig, rng: np.random.Generator) -> CrnParams:
     params: dict = {}
     buffers: dict = {}
     ladder = config.ladder
@@ -117,22 +117,16 @@ def init_crn_params(config: CrnConfig, rng: np.random.Generator, dtype=np.float3
 
     c_prev = config.c_in
     for i, c in enumerate(ladder):
-        _init_block(
-            params, buffers, rng, f"enc{i}", (c, c_prev, kt, kf), c_prev * kt * kf, c, dtype
-        )
+        _init_block(params, buffers, rng, f"enc{i}", (c, c_prev, kt, kf), c_prev * kt * kf, c)
         c_prev = c
 
-    params.update(
-        L.init_lstm_params(rng, config.lstm_input, config.lstm_hidden, LSTM_LAYERS, dtype=dtype)
-    )
+    params.update(L.init_lstm_params(rng, config.lstm_input, config.lstm_hidden, LSTM_LAYERS))
 
     ins = config.decoder_in_channels()
     outs = config.decoder_out_channels()
     for branch in DECODERS:
         for i, (ci, co) in enumerate(zip(ins, outs)):
-            _init_block(
-                params, buffers, rng, f"{branch}{i}", (ci, co, kt, kf), ci * kt * kf, co, dtype
-            )
+            _init_block(params, buffers, rng, f"{branch}{i}", (ci, co, kt, kf), ci * kt * kf, co)
     return CrnParams(config, params, buffers)
 
 

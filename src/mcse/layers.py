@@ -5,7 +5,7 @@ with a hand-written backward. Convolutions operate on single samples laid
 out channel-first as (C, T, F) and have one fixed geometry, the CRN's:
 kernel (1, 3), stride (1, 2), padding (0, 1), and output padding (0, 1)
 on the transposed conv. Recurrent/dense layers take (T, D) or a
-band-batched (B, T, D).
+band-batched (B, T, D). The init functions make float32 parameters.
 """
 
 from __future__ import annotations
@@ -21,19 +21,19 @@ import numpy as np
 from .tensor import Tensor, _accum, as_tensor, make_node, records
 
 
-def uniform_param(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> Tensor:
+def uniform_param(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     """Weight init: uniform in +-sqrt(1/fan_in)."""
     bound = float(np.sqrt(1.0 / fan_in))
-    data = rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
+    data = rng.uniform(-bound, bound, size=shape).astype(np.float32, copy=False)
     return Tensor(data, requires_grad=True)
 
 
-def zeros_param(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def zeros_param(shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
 
-def full_param(shape, value, dtype=np.float32) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=True)
+def full_param(shape, value) -> Tensor:
+    return Tensor(np.full(shape, value, dtype=np.float32), requires_grad=True)
 
 
 # -- 2-D convolution over (C, T, F), each one GEMM over the 3 frequency taps -----
@@ -66,25 +66,20 @@ def _taps(x, f_out):
     return cols.reshape(c * 3, t_len * f_out)
 
 
-def conv2d(x, w, b=None) -> Tensor:
-    """x: (C_in, T, F); w: (C_out, C_in, 1, 3); b: (C_out,) or None.
+def conv2d(x, w, b) -> Tensor:
+    """x: (C_in, T, F); w: (C_out, C_in, 1, 3); b: (C_out,).
     Returns (C_out, T, ceil(F / 2))."""
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_conv("conv2d", x, w, 1)
     c_out, c_in = w.shape[:2]
     _, t_len, f_in = x.shape
     f_out = (f_in + 1) // 2
     w2 = w.data.reshape(c_out, c_in * 3)
     out = (w2 @ _taps(x.data, f_out)).reshape(c_out, t_len, f_out)
-    if b is not None:
-        b = as_tensor(b)
-        out += b.data[:, None, None]
-
-    parents = (x, w) if b is None else (x, w, b)
+    out += b.data[:, None, None]
 
     def backward(g):
-        if b is not None:
-            _accum(b, g.sum(axis=(1, 2)))
+        _accum(b, g.sum(axis=(1, 2)))
         g2 = g.reshape(c_out, t_len * f_out)
         _accum(w, (g2 @ _taps(x.data, f_out).T).reshape(w.shape))
         dcols = (w2.T @ g2).reshape(c_in, 3, t_len, f_out)
@@ -95,13 +90,13 @@ def conv2d(x, w, b=None) -> Tensor:
         dx[:, :, 1::2] += dcols[:, 2, :, : f_in // 2]
         _accum(x, dx)
 
-    return make_node(out, parents, backward)
+    return make_node(out, (x, w, b), backward)
 
 
-def deconv2d(x, w, b=None) -> Tensor:
+def deconv2d(x, w, b) -> Tensor:
     """Transposed conv2d. x: (C_in, T, F); w: (C_in, C_out, 1, 3); b:
-    (C_out,) or None. Returns (C_out, T, 2F)."""
-    x, w = as_tensor(x), as_tensor(w)
+    (C_out,). Returns (C_out, T, 2F)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_conv("deconv2d", x, w, 0)
     c_in, c_out = w.shape[:2]
     _, t_len, f_in = x.shape
@@ -115,19 +110,14 @@ def deconv2d(x, w, b=None) -> Tensor:
     taps[0, :, :, 0] = -0.0
     flat = taps.reshape(3, -1)
     flat[2, :-1] += flat[0, 1:]
-    if b is not None:
-        b = as_tensor(b)
-        taps[1:] += b.data[:, None, None]
+    taps[1:] += b.data[:, None, None]
     out = np.empty((c_out * t_len * f_in, 2), dtype=taps.dtype)
     out[:, 0] = flat[1]
     out[:, 1] = flat[2]
     out = out.reshape(c_out, t_len, 2 * f_in)
 
-    parents = (x, w) if b is None else (x, w, b)
-
     def backward(g):
-        if b is not None:
-            _accum(b, g.sum(axis=(1, 2)))
+        _accum(b, g.sum(axis=(1, 2)))
         gt = np.empty((3, c_out, t_len, f_in), dtype=g.dtype)
         gt[0, :, :, 0] = 0.0
         gt[0, :, :, 1:] = g[:, :, 1:-2:2]
@@ -138,24 +128,18 @@ def deconv2d(x, w, b=None) -> Tensor:
         _accum(w, dw[:, :, None, :])
         _accum(x, (wm.T @ gt).reshape(x.shape))
 
-    return make_node(out, parents, backward)
+    return make_node(out, (x, w, b), backward)
 
 
 # -- normalization ---------------------------------------------------------------
 
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1  # weight of each sample's statistics in the running buffers
+LN_EPS = 1e-5
 
 
-def batchnorm2d(
-    x,
-    gamma,
-    beta,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    momentum: float = 0.1,
-    eps: float = BN_EPS,
-) -> Tensor:
+def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
     """Per-channel normalization of a (C, T, F) sample by its own (T, F)
     statistics, as in training. Updates the running buffers in place
     (biased variance for the normalization, unbiased for the running
@@ -173,12 +157,12 @@ def batchnorm2d(
     mean = x.data.mean(axis=(1, 2))
     var = x.data.var(axis=(1, 2))
     unbiased = var * (n / (n - 1.0)) if n > 1 else var
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.astype(running_mean.dtype)
-    running_var *= 1.0 - momentum
-    running_var += momentum * unbiased.astype(running_var.dtype)
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean.astype(running_mean.dtype)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * unbiased.astype(running_var.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
@@ -193,7 +177,7 @@ def batchnorm2d(
     return make_node(out, (x, gamma, beta), backward)
 
 
-def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layernorm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis of x (..., D)."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
@@ -201,7 +185,7 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise ValueError("layernorm parameter shape mismatch")
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mean) * inv_std
     out = gamma.data * xhat + beta.data
 
@@ -248,27 +232,21 @@ def prelu(x, a) -> Tensor:
 # -- dense -------------------------------------------------------------------------
 
 
-def linear(x, w, b=None) -> Tensor:
-    """x: (..., D_in); w: (D_out, D_in); b: (D_out,) or None."""
-    x, w = as_tensor(x), as_tensor(w)
+def linear(x, w, b) -> Tensor:
+    """x: (..., D_in); w: (D_out, D_in); b: (D_out,)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear shape mismatch: input {x.shape}, weight {w.shape}")
-    out = np.matmul(x.data, w.data.T)
-    if b is not None:
-        b = as_tensor(b)
-        out = out + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
+    out = np.matmul(x.data, w.data.T) + b.data
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x.data.reshape(-1, x.data.shape[-1])
         _accum(w, g2.T @ x2)
-        if b is not None:
-            _accum(b, g2.sum(axis=0))
+        _accum(b, g2.sum(axis=0))
         _accum(x, np.matmul(g, w.data))
 
-    return make_node(out, parents, backward)
+    return make_node(out, (x, w, b), backward)
 
 
 # -- LSTM --------------------------------------------------------------------------
@@ -520,24 +498,17 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     return make_node(out, parents, backward)
 
 
-def init_lstm_params(
-    rng: np.random.Generator,
-    input_size: int,
-    hidden_size: int,
-    layers: int,
-    dtype=np.float32,
-) -> dict:
+def init_lstm_params(rng: np.random.Generator, input_size: int, hidden_size: int,
+                     layers: int) -> dict:
     """Named parameter dict for a stacked bidirectional LSTM."""
     params = {}
     for layer in range(layers):
         d_in = input_size if layer == 0 else 2 * hidden_size
         for dr in ("fw", "bw"):
             key = f"lstm.l{layer}.{dr}"
-            params[f"{key}.w_ih"] = uniform_param(rng, (4 * hidden_size, d_in), d_in, dtype)
-            params[f"{key}.w_hh"] = uniform_param(
-                rng, (4 * hidden_size, hidden_size), hidden_size, dtype
-            )
-            params[f"{key}.b"] = zeros_param((4 * hidden_size,), dtype)
+            params[f"{key}.w_ih"] = uniform_param(rng, (4 * hidden_size, d_in), d_in)
+            params[f"{key}.w_hh"] = uniform_param(rng, (4 * hidden_size, hidden_size), hidden_size)
+            params[f"{key}.b"] = zeros_param((4 * hidden_size,))
     return params
 
 

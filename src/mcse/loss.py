@@ -16,7 +16,7 @@ of propagating through the square root's singular point.
 
 from __future__ import annotations
 
-from .dsp import COMPRESS_EPS, Spectrogram
+from .dsp import COMPRESS_EPS
 from .tensor import Tensor, as_tensor, magnitude, power, relu
 
 
@@ -24,9 +24,8 @@ ALPHA = 2.0  # weight of L_MagHurts
 
 
 def _pair(x):
-    """Accept a Spectrogram, a (re, im) pair of Tensors, or a pair of arrays."""
-    re, im = (x.re, x.im) if isinstance(x, Spectrogram) else x
-    re, im = as_tensor(re), as_tensor(im)
+    """A (re, im) pair of Tensors or of arrays, as Tensors."""
+    re, im = map(as_tensor, x)
     if re.shape != im.shape:
         raise ValueError("re/im shape mismatch")
     return re, im
@@ -41,11 +40,11 @@ def _operands(est, tgt):
     return ere, eim, tre, tim
 
 
-def compress_pair(re: Tensor, im: Tensor, eps: float = COMPRESS_EPS):
+def compress_pair(re: Tensor, im: Tensor):
     """Square-root compression in the graph. Returns (re, im, magnitude)
     of the compressed value."""
     mag = magnitude(re, im)
-    scale = power(mag + eps, -0.5)
+    scale = power(mag + COMPRESS_EPS, -0.5)
     cre = re * scale
     cim = im * scale
     return cre, cim, mag * scale

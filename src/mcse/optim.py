@@ -16,11 +16,13 @@ EPS = 1e-8
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
+    """Desk-scale defaults: small batches, fast halving."""
+
+    batch_size: int = 2
     lr: float = 1e-3
-    lr_halving_interval: int = 50000
+    lr_halving_interval: int = 200
     weight_decay: float = 0.01
-    max_iters: int = 1000
+    max_iters: int = 300
     seed: int = 0
     stage: str = "stage1"
 
@@ -29,13 +31,6 @@ class TrainConfig:
             raise ValueError("batch_size, max_iters, lr_halving_interval must be positive")
         if self.stage not in ("stage1", "stage2", "joint"):
             raise ValueError(f"stage must be stage1, stage2, or joint, got {self.stage!r}")
-
-    @classmethod
-    def desk(cls, **overrides) -> "TrainConfig":
-        """Desk-scale defaults: small batches, fast halving."""
-        base = dict(batch_size=2, lr_halving_interval=200, max_iters=300)
-        base.update(overrides)
-        return cls(**base)
 
 
 def lr_schedule(base_lr: float, iteration: int, halving_interval: int) -> float:

@@ -93,25 +93,17 @@ class TwoStageModel:
         raise ValueError(f"unknown stage {stage!r}")
 
 
-def init_spatial_params(p_channels: int, rng: np.random.Generator, dtype=np.float32) -> dict:
+def init_spatial_params(p_channels: int, rng: np.random.Generator) -> dict:
     feat = 2 * p_channels
-    params = {
-        "ln.gamma": L.full_param((feat,), 1.0, dtype),
-        "ln.beta": L.zeros_param((feat,), dtype),
-    }
-    params.update(L.init_lstm_params(rng, feat, SPATIAL_HIDDEN, SPATIAL_LAYERS, dtype=dtype))
-    params["fc.w"] = L.uniform_param(rng, (2, 2 * SPATIAL_HIDDEN), 2 * SPATIAL_HIDDEN, dtype)
-    params["fc.b"] = L.zeros_param((2,), dtype)
+    params = {"ln.gamma": L.full_param((feat,), 1.0), "ln.beta": L.zeros_param((feat,))}
+    params.update(L.init_lstm_params(rng, feat, SPATIAL_HIDDEN, SPATIAL_LAYERS))
+    params["fc.w"] = L.uniform_param(rng, (2, 2 * SPATIAL_HIDDEN), 2 * SPATIAL_HIDDEN)
+    params["fc.b"] = L.zeros_param((2,))
     return params
 
 
-def init_two_stage_model(
-    p_channels: int,
-    width_scale=Fraction(1),
-    freq_bins: int = 256,
-    seed: int = 0,
-    dtype=np.float32,
-) -> TwoStageModel:
+def init_two_stage_model(p_channels: int, width_scale=Fraction(1), freq_bins: int = 256,
+                         seed: int = 0) -> TwoStageModel:
     if p_channels < 1:
         raise ValueError("p_channels must be at least 1")
     rng = np.random.default_rng(seed)
@@ -121,9 +113,9 @@ def init_two_stage_model(
     stage2_cfg = CrnConfig(c_in=4, c_out=2, width_scale=width_scale, freq_bins=freq_bins)
     return TwoStageModel(
         p_channels=p_channels,
-        stage1=init_crn_params(stage1_cfg, rng, dtype),
-        spatial=init_spatial_params(p_channels, rng, dtype),
-        stage2=init_crn_params(stage2_cfg, rng, dtype),
+        stage1=init_crn_params(stage1_cfg, rng),
+        spatial=init_spatial_params(p_channels, rng),
+        stage2=init_crn_params(stage2_cfg, rng),
     )
 
 

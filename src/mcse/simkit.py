@@ -243,6 +243,10 @@ def mix(
         raise ValueError("mix expects single-channel dry speech and noise")
     if speech.sample_rate != noise.sample_rate:
         raise ValueError("speech/noise sample rate mismatch")
+    for name, rir in (("speech", rir_speech), ("noise", rir_noise)):
+        if rir.sample_rate != speech.sample_rate:
+            raise ValueError(f"{name} RIR sample rate {rir.sample_rate} Hz does not match "
+                             f"the speech's {speech.sample_rate} Hz")
     if rir_speech.channels != rir_noise.channels:
         raise ValueError("RIR channel count mismatch")
     n = speech.length

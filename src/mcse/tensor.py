@@ -129,9 +129,6 @@ class Tensor:
     def __pow__(self, p):
         return power(self, p)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
 
@@ -283,35 +280,22 @@ def relu(a) -> Tensor:
     return make_node(out_data, (a,), backward)
 
 
-def magnitude(re, im, eps: float = 1e-12) -> Tensor:
+MAGNITUDE_EPS = 1e-12
+
+
+def magnitude(re, im) -> Tensor:
     """sqrt(re^2 + im^2) with the gradient zeroed where the magnitude
-    is below eps (the singular point of the square root)."""
+    is below MAGNITUDE_EPS (the singular point of the square root)."""
     re, im = as_tensor(re), as_tensor(im)
     m = np.sqrt(re.data * re.data + im.data * im.data)
 
     def backward(g):
-        safe = np.where(m > eps, m, 1.0)
-        live = (m > eps).astype(m.dtype)
+        safe = np.where(m > MAGNITUDE_EPS, m, 1.0)
+        live = (m > MAGNITUDE_EPS).astype(m.dtype)
         _accum(re, g * live * re.data / safe)
         _accum(im, g * live * im.data / safe)
 
     return make_node(m, (re, im), backward)
-
-
-# -- linear algebra ------------------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, unbroadcast(ga, a.data.shape))
-        _accum(b, unbroadcast(gb, b.data.shape))
-
-    return make_node(out_data, (a, b), backward)
 
 
 # -- shape ops -----------------------------------------------------------------

@@ -7,6 +7,8 @@ rounding would eat the comparison budget before the math got a say.
 
 import numpy as np
 
+from mcse.crn import CrnParams
+from mcse.pipeline import TwoStageModel
 from mcse.tensor import Tensor
 
 STEP = 1e-5
@@ -60,3 +62,24 @@ def check_grads(build_loss, arrays, rtol=1e-4, atol=1e-8, step=STEP):
             f"gradient mismatch on input {k}: worst excess {worst:.3e}, "
             f"max analytic {np.max(np.abs(ana)):.3e}, max numeric {np.max(np.abs(num)):.3e}"
         )
+
+
+def to_float64(model):
+    """Cast an initialised model to float64 in place, for a float64 oracle:
+    every parameter Tensor and every batchnorm buffer. model is a
+    TwoStageModel, a CrnParams or a dict of parameter Tensors (an LSTM's or
+    the spatial filter's). Returns model."""
+    if isinstance(model, TwoStageModel):
+        groups = (model.stage1.params, model.stage1.buffers, model.spatial,
+                  model.stage2.params, model.stage2.buffers)
+    elif isinstance(model, CrnParams):
+        groups = (model.params, model.buffers)
+    else:
+        groups = (model,)
+    for group in groups:
+        for name, value in group.items():
+            if isinstance(value, Tensor):
+                value.data = value.data.astype(np.float64)
+            else:
+                group[name] = value.astype(np.float64)
+    return model

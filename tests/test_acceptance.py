@@ -20,7 +20,7 @@ import pytest
 
 import mcse.baselines as B
 from crn_trace import trace_crn
-from gradcheck import check_grads, numeric_grad
+from gradcheck import check_grads, numeric_grad, to_float64
 from mcse import layers as L
 from mcse.checkpoint import load_checkpoint, save_checkpoint
 from mcse.crn import CrnConfig, init_crn_params
@@ -90,7 +90,8 @@ def test_c2_finite_difference_gradients():
 
     xd = r.standard_normal((4, 2, 4))
     wd = r.standard_normal((4, 3, 1, 3))
-    check_grads(lambda x, w: L.deconv2d(x, w).sum(), (xd, wd), rtol=1e-4)
+    bd = np.linspace(-0.5, 0.5, 3)  # not drawn, so the data below stays as it was
+    check_grads(lambda x, w, b: L.deconv2d(x, w, b).sum(), (xd, wd, bd), rtol=1e-4)
 
     g = r.standard_normal(3)
     be = r.standard_normal(3)
@@ -120,8 +121,8 @@ def test_c2_finite_difference_gradients():
 
     # composed: whole two-stage forward into the training loss, float64,
     # sampled coordinates per parameter at relative 1e-3
-    model = init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16),
-                                 freq_bins=64, seed=5, dtype=np.float64)
+    model = to_float64(init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16),
+                                            freq_bins=64, seed=5))
     y_re = 0.3 * r.standard_normal((2, 6, 64))
     y_im = 0.3 * r.standard_normal((2, 6, 64))
     t_re = 0.3 * r.standard_normal((6, 64))

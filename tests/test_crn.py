@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from crn_trace import trace_crn
-from gradcheck import check_grads
+from gradcheck import check_grads, to_float64
 from mcse import layers as L
 from mcse.crn import BASE_CHANNELS, CrnConfig, CrnParams, _block, crn_forward, init_crn_params
 
@@ -212,7 +212,7 @@ class TestEvalBlockFold:
         batchnorm, then PReLU."""
         cfg = CrnConfig(16, 16, width, 256)
         frng = np.random.default_rng(12)
-        p = init_crn_params(cfg, frng, dtype=np.float64)
+        p = to_float64(init_crn_params(cfg, frng))
         for k, t in p.params.items():
             if not k.startswith("lstm") and not k.endswith(".w"):
                 t.data = t.data + 0.3 * frng.standard_normal(t.shape)

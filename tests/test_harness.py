@@ -8,6 +8,7 @@ defining formulas. Training-loop tests run a deliberately tiny model
 import json
 import logging
 import struct
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from mcse.config import KEYS, ConfigError, load_config, parse_config_text
 from mcse.dsp import TimeSignal, stft
 from mcse.optim import AdamWState, TrainConfig, adamw_step, lr_schedule
 from mcse.pipeline import enhance, init_two_stage_model
+from mcse.simkit import DatasetConfig
 from mcse.tensor import Tensor
 import mcse.train
 from mcse.train import CURVE_COLUMNS, Utterance, load_training_set, train, write_loss_curve
@@ -143,6 +145,14 @@ class TestConfigParsing:
         assert "seed" not in KEYS["baseline"]
         with pytest.raises(ConfigError, match=r"x\.cfg:1: .*'lr' for simulate"):
             parse_config_text("lr = 0.5", "simulate", source="x.cfg")
+
+    def test_keys_are_the_fields_they_set(self):
+        """simulate and train pass their parsed keys through by name: apart
+        from the room sides and the model width, each is a field of the
+        config it builds."""
+        sim_fields = {f.name for f in fields(DatasetConfig)} - {"out_dir", "room"}
+        assert set(KEYS["simulate"]) - {"room_x", "room_y", "room_z"} == sim_fields
+        assert set(KEYS["train"]) - {"width_scale"} == {f.name for f in fields(TrainConfig)}
 
     def test_unknown_key_names_location(self):
         with pytest.raises(ConfigError, match=r"custom\.cfg:2.*learning_rate"):
@@ -503,21 +513,44 @@ class TestCli:
         assert main(argv) == 0
         assert (tmp_path / "y.wav").exists()
 
-    @pytest.mark.parametrize("method, flag", [
-        ("wpe", "--delays 1,2"),
-        ("ds", "--speech-ref {d}/s.wav"),
-        ("filtersum", "--noise-ref {d}/n.wav"),
-        ("mvdr", "--model {d}/m.bin"),
-    ], ids=["delays-wpe", "speech_ref-ds", "noise_ref-filtersum", "model-mvdr"])
-    def test_flag_its_method_does_not_read_exits_2(self, tmp_path, capsys, method, flag):
+    @pytest.mark.parametrize("args, refused", [
+        ("wpe --delays 1,2", "--delays is not used by baseline wpe"),
+        ("ds --speech-ref {d}/s.wav", "--speech-ref is not used by baseline ds"),
+        ("filtersum --noise-ref {d}/n.wav", "--noise-ref is not used by baseline filtersum"),
+        ("mvdr --model {d}/m.bin", "--model is not used by baseline mvdr"),
+        ("ds --seed 5", "--seed is not used by baseline ds"),
+        ("wpe --seed 5", "--seed is not used by baseline wpe"),
+        ("filtersum --model {d}/m.bin --seed 5",
+         "--seed is not used by baseline filtersum --model"),
+    ], ids=["delays-wpe", "speech_ref-ds", "noise_ref-filtersum", "model-mvdr", "seed-ds",
+            "seed-wpe", "seed-filtersum_model"])
+    def test_flag_its_method_does_not_read_exits_2(self, tmp_path, capsys, args, refused):
         """A flag that only another baseline method reads is refused before
-        the input (here missing, which would exit 1) is read."""
-        argv = ["baseline", method, "--in", str(tmp_path / "x.wav"),
-                "--out", str(tmp_path / "y.wav"), *flag.format(d=tmp_path).split()]
+        the input (here missing, which would exit 1) is read. --seed is read
+        only by filtersum without --model, the one mode that draws a model."""
+        argv = ["baseline", *args.format(d=tmp_path).split(), "--in", str(tmp_path / "x.wav"),
+                "--out", str(tmp_path / "y.wav")]
         assert main(argv) == 2
-        name = flag.split()[0]
-        assert capsys.readouterr().err == f"error: {name} is not used by baseline {method}\n"
+        assert capsys.readouterr().err == f"error: {refused}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_fresh_filtersum_reads_seed(self, tmp_path):
+        """The model drawn without --model follows --seed, and 0 is the
+        seed when none is given."""
+        from mcse.wavio import read_wav
+
+        _write_signal(tmp_path / "x.wav")
+        cfg = tmp_path / "fs.cfg"
+        cfg.write_text("width_scale = 1/16\n")
+        outs = {}
+        for seed in (None, 0, 1):
+            out = tmp_path / f"y{seed}.wav"
+            flags = [] if seed is None else ["--seed", str(seed)]
+            assert main(["baseline", "filtersum", "--in", str(tmp_path / "x.wav"),
+                         "--out", str(out), "--config", str(cfg), *flags]) == 0
+            outs[seed] = read_wav(out).samples
+        assert outs[None].tobytes() == outs[0].tobytes()
+        assert not np.array_equal(outs[0], outs[1])
 
     def test_simulate_zero_sample_rate_exits_1(self, tmp_path, capsys):
         """A zero rate is refused with its name and value before the output
@@ -622,6 +655,7 @@ class TestBadInputs:
                      "--noise-ref {d}/n.wav --out {d}/out.wav"),
         "filtersum": ({"mix": 2},
                       "baseline filtersum --model {d}/fs.bin --in {d}/mix.wav --out {d}/out.wav"),
+        "filtersum_fresh": ({"mix": 2}, "baseline filtersum --in {d}/mix.wav --out {d}/out.wav"),
         "evaluate": ({"ref/u0": 1, "est/u0": 1},
                      "evaluate --ref {d}/ref --est {d}/est --out {d}/out.txt"),
         "train": ({"u0_mix": 2, "u0_revclean": 2, "u0_dry": 1},
@@ -638,9 +672,13 @@ class TestBadInputs:
         ("baseline", "n", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
         ("baseline", "s", "channels", "channel count 3, expected 2"),
         ("filtersum", "mix", "channels", "channel count 3, expected 2"),
+        ("filtersum", "mix", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
+        ("filtersum_fresh", "mix", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
         ("evaluate", "ref/u0", "nan", "non-finite sample (nan) at channel 0, sample 123"),
         ("evaluate", "est/u0", "nan", "non-finite sample (nan) at channel 0, sample 123"),
         ("evaluate", "est/u0", "rate", "sample rate 8000 Hz, expected 16000 Hz"),
+        ("evaluate", "ref/u0", "channels", "channel count 2, expected 1"),
+        ("evaluate", "est/u0", "channels", "channel count 2, expected 1"),
         ("evaluate", "est/u0", "length",
          "length 1200 samples, expected 2000 as in {d}/ref/u0.wav"),
         ("train", "u0_mix", "nan", "non-finite sample (nan) at channel 1, sample 123"),

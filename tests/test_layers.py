@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 import mcse.layers as L
 from mcse.tensor import Tensor, no_grad
 
-from gradcheck import check_grads
+from gradcheck import check_grads, to_float64
 
 rng = np.random.default_rng(7)
 
@@ -45,7 +45,7 @@ def conv2d_loops(x, w, b):
                 for c in range(c_in):
                     for e in range(kf):
                         acc += w[o, c, 0, e] * xp[c, t, f * 2 + e]
-                out[o, t, f] = acc + (b[o] if b is not None else 0.0)
+                out[o, t, f] = acc + b[o]
     return out
 
 
@@ -61,10 +61,7 @@ def deconv2d_loops(x, w, b):
                 for o in range(c_out):
                     for e in range(kf):
                         buf[o, t, f * 2 + e] += w[c, o, 0, e] * x[c, t, f]
-    out = buf[:, :, 1 : 1 + 2 * x.shape[2]]
-    if b is not None:
-        out = out + b[:, None, None]
-    return out
+    return buf[:, :, 1 : 1 + 2 * x.shape[2]] + b[:, None, None]
 
 
 def conv2d_padded_gemm(x, w, b, g):
@@ -85,7 +82,7 @@ def conv2d_padded_gemm(x, w, b, g):
     return out, dxp[:, :, 1 : f_in + 1]
 
 
-def deconv2d_strided(x, w, b=None):
+def deconv2d_strided(x, w, b):
     """deconv2d's forward as one GEMM, its three taps written into the
     output through stride-2 slices, then the bias added."""
     c_in, c_out = w.shape[:2]
@@ -96,7 +93,7 @@ def deconv2d_strided(x, w, b=None):
     out[:, :, 0::2] = taps[1]
     out[:, :, 1::2] = taps[2]
     out[:, :, 1:-2:2] += taps[0, :, :, 1:]
-    return out if b is None else out + b[:, None, None]
+    return out + b[:, None, None]
 
 
 def with_zeros(rg, shape):
@@ -152,7 +149,7 @@ class TestConv2d:
 
     def test_default_geometry_halves_freq(self):
         # kernel (1,3), stride (1,2), pad (0,1): time preserved, F -> F/2
-        out = L.conv2d(r(2, 10, 64), r(5, 2, 1, 3))
+        out = L.conv2d(r(2, 10, 64), r(5, 2, 1, 3), np.zeros(5))
         assert out.shape == (5, 10, 32)
 
     def test_grad(self):
@@ -160,9 +157,6 @@ class TestConv2d:
             lambda x, w, b: (L.conv2d(x, w, b) ** 2).sum(),
             [r(2, 3, 8), r(4, 2, 1, 3), r(4)],
         )
-
-    def test_grad_no_bias(self):
-        check_grads(lambda x, w: (L.conv2d(x, w) ** 2).sum(), [r(2, 3, 8), r(3, 2, 1, 3)])
 
     def test_grad_odd_freq(self):
         check_grads(
@@ -188,15 +182,15 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            L.conv2d(r(2, 4, 8), r(4, 3, 1, 3))
+            L.conv2d(r(2, 4, 8), r(4, 3, 1, 3), np.zeros(4))
 
     def test_other_kernel_raises(self):
         with pytest.raises(ValueError, match=r"\(4, 2, 3, 3\)"):
-            L.conv2d(r(2, 4, 8), r(4, 2, 3, 3))
+            L.conv2d(r(2, 4, 8), r(4, 2, 3, 3), np.zeros(4))
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            L.conv2d(r(2, 4, 0), r(4, 2, 1, 3))
+            L.conv2d(r(2, 4, 0), r(4, 2, 1, 3), np.zeros(4))
 
 
 class TestDeconv2d:
@@ -214,13 +208,13 @@ class TestDeconv2d:
         np.testing.assert_allclose(got, deconv2d_loops(x, w, b), rtol=1e-5, atol=1e-5)
 
     def test_default_geometry_doubles_freq(self):
-        out = L.deconv2d(r(4, 10, 32), r(4, 2, 1, 3))
+        out = L.deconv2d(r(4, 10, 32), r(4, 2, 1, 3), np.zeros(2))
         assert out.shape == (2, 10, 64)
 
     def test_inverts_conv_shape(self):
         x = r(2, 7, 64)
-        down = L.conv2d(x, r(4, 2, 1, 3))
-        up = L.deconv2d(down, r(4, 2, 1, 3))
+        down = L.conv2d(x, r(4, 2, 1, 3), np.zeros(4))
+        up = L.deconv2d(down, r(4, 2, 1, 3), np.zeros(2))
         assert up.shape == x.shape
 
     def test_grad(self):
@@ -231,8 +225,8 @@ class TestDeconv2d:
 
     def test_grad_odd_freq(self):
         check_grads(
-            lambda x, w: (L.deconv2d(x, w) ** 2).sum(),
-            [r(2, 1, 5), r(2, 3, 1, 3)],
+            lambda x, w, b: (L.deconv2d(x, w, b) ** 2).sum(),
+            [r(2, 1, 5), r(2, 3, 1, 3), np.zeros(3)],
         )
 
     @pytest.mark.parametrize("f_in", [4, 5, 1])
@@ -242,19 +236,18 @@ class TestDeconv2d:
         b = rg.standard_normal(4).astype(np.float32)
         want = deconv2d_strided(x, w, b)
         assert L.deconv2d(x, w, b).data.tobytes() == want.tobytes()
-        assert L.deconv2d(x, w).data.tobytes() == deconv2d_strided(x, w).tobytes()
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            L.deconv2d(r(2, 4, 8), r(3, 2, 1, 3))
+            L.deconv2d(r(2, 4, 8), r(3, 2, 1, 3), np.zeros(2))
 
     def test_other_kernel_raises(self):
         with pytest.raises(ValueError, match=r"\(2, 2, 1, 4\)"):
-            L.deconv2d(r(2, 4, 8), r(2, 2, 1, 4))
+            L.deconv2d(r(2, 4, 8), r(2, 2, 1, 4), np.zeros(2))
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            L.deconv2d(r(2, 0, 8), r(2, 2, 1, 3))
+            L.deconv2d(r(2, 0, 8), r(2, 2, 1, 3), np.zeros(2))
 
 
 # -- normalization -------------------------------------------------------------------
@@ -273,7 +266,8 @@ class TestBatchNorm2d:
     def test_running_buffers_track_statistics(self):
         x = r(3, 5, 7)
         rm, rv = np.zeros(3), np.ones(3)
-        L.batchnorm2d(x, np.ones(3), np.zeros(3), rm, rv, momentum=0.1)
+        L.batchnorm2d(x, np.ones(3), np.zeros(3), rm, rv)
+        assert L.BN_MOMENTUM == 0.1
         n = 5 * 7
         want_m = 0.1 * x.mean(axis=(1, 2))
         want_v = 0.9 + 0.1 * x.var(axis=(1, 2)) * n / (n - 1)
@@ -402,7 +396,7 @@ class TestLstm:
         )
 
     def test_bidirectional_is_concat_of_reversed_runs(self):
-        params = L.init_lstm_params(rng, 4, 3, layers=1, dtype=np.float64)
+        params = to_float64(L.init_lstm_params(rng, 4, 3, layers=1))
         x = r(2, 5, 4)
         out = L.lstm_seq(x, params, hidden_size=3, layers=1).data
 
@@ -483,17 +477,17 @@ class TestLstm:
         np.testing.assert_array_equal(queue.get(timeout=5), want)
 
     def test_stacked_shapes(self):
-        params = L.init_lstm_params(rng, 6, 4, layers=2, dtype=np.float64)
+        params = to_float64(L.init_lstm_params(rng, 6, 4, layers=2))
         out = L.lstm_seq(r(3, 7, 6), params, hidden_size=4, layers=2)
         assert out.shape == (3, 7, 8)
 
     def test_unbatched_input_round_trips(self):
-        params = L.init_lstm_params(rng, 5, 2, layers=1, dtype=np.float64)
+        params = to_float64(L.init_lstm_params(rng, 5, 2, layers=1))
         out = L.lstm_seq(r(9, 5), params, hidden_size=2, layers=1)
         assert out.shape == (9, 4)
 
     def test_grad_through_bidirectional_stack(self):
-        params = L.init_lstm_params(rng, 3, 2, layers=2, dtype=np.float64)
+        params = to_float64(L.init_lstm_params(rng, 3, 2, layers=2))
         names = sorted(params)
         x = r(1, 3, 3)
 

@@ -137,16 +137,6 @@ class TestTotalLoss:
         assert np.all(np.isfinite(ere.grad))
         assert np.all(np.isfinite(eim.grad))
 
-    def test_spectrogram_inputs_accepted(self):
-        from mcse.dsp import Spectrogram
-
-        re, im = rng.standard_normal((1, 2, 256)), rng.standard_normal((1, 2, 256))
-        s = Spectrogram(re, im, 512, 64, 512, 16000)
-        t = Spectrogram(re * 0.5, im * 0.5, 512, 64, 512, 16000)
-        v1 = float(total_loss(s, t).data)
-        v2 = float(total_loss((re, im), (0.5 * re, 0.5 * im)).data)
-        np.testing.assert_allclose(v1, v2, rtol=1e-12)
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_operand_dtype(self, dtype):
         """eps and alpha are scalars, so they take the operands' dtype: a

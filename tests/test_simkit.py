@@ -312,6 +312,15 @@ class TestMix:
         with pytest.raises(ValueError):
             mix(s, n, self.unit_rirs(), self.unit_rirs(), 5.0)
 
+    @pytest.mark.parametrize("which", ["speech", "noise"])
+    def test_rir_at_another_rate_raises(self, which):
+        s = TimeSignal(np.ones((1, 300)), 16000)
+        rirs = {"speech": self.unit_rirs(), "noise": self.unit_rirs()}
+        rirs[which] = RoomImpulseResponse(rirs[which].taps, 8000)
+        with pytest.raises(ValueError, match=f"^{which} RIR sample rate 8000 Hz does not match "
+                                             "the speech's 16000 Hz$"):
+            mix(s, s, rirs["speech"], rirs["noise"], 5.0)
+
 
 class TestSyntheticSources:
     def test_speech_has_harmonic_envelope(self):
