@@ -90,7 +90,7 @@ def test_c2_finite_difference_gradients():
 
     xd = r.standard_normal((4, 2, 4))
     wd = r.standard_normal((4, 3, 1, 3))
-    bd = np.linspace(-0.5, 0.5, 3)  # not drawn, so the data below stays as it was
+    bd = np.linspace(-0.5, 0.5, 3)  # not drawn from r, whose later draws feed the checks below
     check_grads(lambda x, w, b: L.deconv2d(x, w, b).sum(), (xd, wd, bd), rtol=1e-4)
 
     g = r.standard_normal(3)
