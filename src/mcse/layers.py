@@ -361,13 +361,13 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     cell state are zero.
 
     Each step activates its (B, 4H) gate row in place with one tanh
-    (_activate_gates). The gate, cell and tanh(cell) buffers are
-    time-major, (T, B, .), so every step reads and writes contiguous slabs.
-    With keep, the input projection runs over the whole sequence at once,
-    every step's buffers are kept and the cache for _lstm_backward is
-    returned. Without it, the projection runs in blocks of _CHUNK_ROWS
-    rows through one scratch buffer, cell and tanh(cell) are 2-deep rings,
-    and None is returned.
+    (_activate_gates). The gate and cell buffers are time-major, (T, B,
+    .), so every step reads and writes contiguous slabs; tanh(cell) goes
+    through one (B, H) scratch buffer. With keep, the input projection
+    runs over the whole sequence at once, every step's gates and cell are
+    kept and the cache for _lstm_backward is returned. Without it, the
+    projection runs in blocks of _CHUNK_ROWS rows through one scratch
+    buffer, cell is a 2-deep ring, and None is returned.
     """
     bsz, t_len, d_in = x.shape
     four_h = w_ih.shape[0]
@@ -379,7 +379,7 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     depth = t_len if keep else 2
     gates = np.empty((min(chunk, t_len), bsz, four_h), dtype=np.result_type(x, w_ih))
     cells = np.empty((depth, bsz, h_size), dtype=dtype)
-    tanh_c = np.empty_like(cells)
+    tc = np.empty((bsz, h_size), dtype=dtype)
     hs = out.transpose(1, 0, 2)
     w_hh_t = w_hh.T  # a view: BLAS reads it transposed, with no per-call copy
     scale, shift = _gate_constants(h_size, dtype)
@@ -391,7 +391,7 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
         np.matmul(x_tm, w_ih.T, out=block.reshape(n * bsz, four_h))
         block += b
         for t in range(t0, t0 + n):
-            z, c, tc = block[t - t0], cells[t % depth], tanh_c[t % depth]
+            z, c = block[t - t0], cells[t % depth]
             if t > 0:
                 np.matmul(hs[t - 1], w_hh_t, out=rec)
                 z += rec
@@ -401,7 +401,7 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
                 c += z[:, sl_f] * cells[(t - 1) % depth]
             np.tanh(c, out=tc)
             np.multiply(z[:, sl_o], tc, out=hs[t])
-    return (x, w_ih, w_hh, gates, cells, tanh_c, hs) if keep else None
+    return (x, w_ih, w_hh, gates, cells, hs) if keep else None
 
 
 def _lstm_backward(cache, grad):
@@ -411,8 +411,10 @@ def _lstm_backward(cache, grad):
     Spends the cache: each step's gate pre-activation derivatives dz are
     written over that step's activated gate row, which no later (earlier
     in time) step reads, so the gate cache becomes the (T, B, 4H) dz
-    buffer and the cache cannot be used again."""
-    x, w_ih, w_hh, gates, cells, tanh_c, hs = cache
+    buffer and the cache cannot be used again. tanh(cell) is computed
+    again, from the same contiguous cell slab through the same ufunc as
+    the forward, so it is the same bytes."""
+    x, w_ih, w_hh, gates, cells, hs = cache
     t_len, bsz, four_h = gates.shape
     h_size = four_h // 4
     sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
@@ -421,7 +423,7 @@ def _lstm_backward(cache, grad):
     dh_next = np.zeros((bsz, h_size), dtype=grad.dtype)
     dc_next = np.zeros_like(dh_next)
     for t in range(t_len - 1, -1, -1):
-        z, tc = gates[t], tanh_c[t]
+        z, tc = gates[t], np.tanh(cells[t])
         i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
         dh = g_tm[t] + dh_next
         dc = dc_next + dh * o * (1.0 - tc * tc)
@@ -483,6 +485,7 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     )
 
     def backward(grad):
+        nonlocal cache_fw, cache_bw
         # both halves run in the output's dtype: a grad of another dtype is
         # cast once, as a whole, and one of that dtype is used as it comes
         grad = grad.astype(out.dtype, copy=False)
@@ -490,6 +493,8 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
             lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw]),
             lambda: _lstm_backward(cache_bw, grad[:, ::-1, h_fw:]),
         )
+        # the spent gate and cell histories go before the sums below allocate
+        cache_fw = cache_bw = None
         for p, g in zip(parents[1:], d_fw + d_bw):
             _accum(p, g)
         dx += dx_bw[:, ::-1]

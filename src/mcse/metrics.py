@@ -16,9 +16,10 @@ The combined challenge score is (STOI + (1 - WER)) / 2 on [0, 1] inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import resample_poly
+from numpy.lib.stride_tricks import sliding_window_view
 
 STOI_FS = 10000
 STOI_FRAME = 256
@@ -30,6 +31,52 @@ STOI_SEG = 30  # frames per segment, 384 ms at 10 kHz
 STOI_DYN_RANGE = 40.0
 STOI_BETA = -15.0
 _EPS = 1e-12
+
+
+@lru_cache(maxsize=8)  # one entry per input sample rate
+def _polyphase_filter(up: int, down: int):
+    """(half, phases) of the low-pass that scipy.signal.resample_poly
+    designs by default: 2 half + 1 taps, half = 10 max(up, down), of a
+    Kaiser-windowed (beta 5) sinc cut off at 1 / max(up, down) of Nyquist,
+    summing to up. Row p of the (up, taps) phases holds taps p, p + up,
+    p + 2 up, ... in reverse, zero-padded to a common length. Read-only,
+    as every caller shares it."""
+    half = 10 * max(up, down)
+    cutoff = 1.0 / max(up, down)
+    m = np.arange(2 * half + 1) - float(half)
+    h = cutoff * np.sinc(cutoff * m) * np.kaiser(2 * half + 1, 5.0)
+    h /= h.sum()
+    h *= up
+    taps = -(-h.size // up)
+    phases = np.zeros(taps * up)
+    phases[: h.size] = h
+    phases = np.ascontiguousarray(phases.reshape(taps, up).T[:, ::-1])
+    phases.setflags(write=False)
+    return half, phases
+
+
+def _resample(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """x (1-D) resampled by up / down (coprime) as scipy.signal.resample_poly
+    does with its default filter and zero padding: ceil(len(x) up / down)
+    output samples, each the up-sampled signal filtered at (k down + half),
+    which only one phase of the filter touches."""
+    half, phases = _polyphase_filter(up, down)
+    taps = phases.shape[1]
+    n_out = -(-x.shape[0] * up // down)
+    # output k reads x[b - taps + 1 : b + 1] for b = (k down + half) // up;
+    # x is padded so every such window exists
+    last = ((n_out - 1) * down + half) // up
+    xpad = np.zeros(taps - 1 + max(x.shape[0], last + 1))
+    xpad[taps - 1 : taps - 1 + x.shape[0]] = x
+    windows = sliding_window_view(xpad, taps)
+    y = np.empty(n_out)
+    # the outputs k = r, r + up, r + 2 up, ... share one phase, and their
+    # windows start down samples apart
+    for r in range(up):
+        first, phase = divmod(r * down + half, up)
+        out = y[r::up]
+        out[:] = windows[first::down][: out.shape[0]] @ phases[phase]
+    return y
 
 
 def _third_octave_matrix(fs: int, fft_size: int, bands: int, min_cf: float) -> np.ndarray:
@@ -103,8 +150,8 @@ def stoi(ref: np.ndarray, deg: np.ndarray, fs: int) -> float:
         raise ValueError("sample rate must be positive")
     if fs != STOI_FS:
         g = int(np.gcd(int(fs), STOI_FS))
-        ref = resample_poly(ref, STOI_FS // g, fs // g)
-        deg = resample_poly(deg, STOI_FS // g, fs // g)
+        ref = _resample(ref, STOI_FS // g, fs // g)
+        deg = _resample(deg, STOI_FS // g, fs // g)
     if ref.shape[0] < STOI_FRAME:
         raise ValueError("signal shorter than one analysis frame")
 

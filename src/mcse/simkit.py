@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .dsp import SAMPLE_RATE, TimeSignal
 from .wavio import write_wav
@@ -225,6 +224,21 @@ def simulate_rir(scene: SceneSpec, emitter: str = "source") -> RoomImpulseRespon
     return RoomImpulseResponse(taps, fs)
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the real-FFT size of
+    scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def mix(
     speech: TimeSignal,
     noise: TimeSignal,
@@ -254,10 +268,13 @@ def mix(
         raise ValueError("noise must be at least as long as speech")
 
     def render(sig: np.ndarray, rir: RoomImpulseResponse) -> np.ndarray:
-        out = np.empty((rir.channels, n))
-        for p in range(rir.channels):
-            out[p] = fftconvolve(sig, rir.taps[p])[:n]
-        return out
+        # the full linear convolution of every channel at once, through real
+        # FFTs of the size scipy.signal.fftconvolve picks, so the first n
+        # samples are the bytes it would give channel by channel; copied,
+        # so the caller holds a contiguous (P, n) and not the whole transform
+        size = _fft_size(n + rir.taps.shape[1] - 1)
+        spec = np.fft.rfft(sig, size) * np.fft.rfft(rir.taps, size)
+        return np.fft.irfft(spec, size)[:, :n].copy()
 
     rev_s = render(speech.samples[0], rir_speech)
     rev_n = render(noise.samples[0, :n], rir_noise)

@@ -1,9 +1,12 @@
-"""Multichannel WAV read (PCM or float) and write (32-bit float)."""
+"""Multichannel WAV read (PCM or float) and write (32-bit float).
+
+scipy.io.wavfile does the container work. It is imported on first use:
+nothing else in the package needs scipy, and importing scipy.io costs
+every process that never touches a WAV file some 20 MB."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.io import wavfile
 
 from .dsp import TimeSignal
 
@@ -11,6 +14,8 @@ from .dsp import TimeSignal
 def write_wav(path, signal: TimeSignal):
     """Write channels-first samples to a 32-bit float WAV file, which keeps
     float32 samples bit-exact."""
+    from scipy.io import wavfile
+
     data = np.asarray(signal.samples, dtype=np.float64).T  # (L, C) for the container
     wavfile.write(path, signal.sample_rate, data.astype(np.float32))
 
@@ -18,6 +23,8 @@ def write_wav(path, signal: TimeSignal):
 def read_wav(path) -> TimeSignal:
     """Read a WAV file into float64 channels-first samples. PCM is scaled
     to [-1, 1); float data is passed through."""
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     # scipy returns (L,) for mono and (L, C) for any multichannel file
     data = data.reshape(1, -1) if data.ndim == 1 else data.T

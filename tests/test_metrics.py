@@ -4,15 +4,18 @@ The edit distance under wer() is checked against a tiny recursive oracle
 on short token lists. STOI has no closed form worth freezing, so the
 tests pin its behavioral contract instead: perfect on identical and on
 attenuated input, monotonically falling as noise rises, and failing
-loudly on silence or too-short signals.
+loudly on silence or too-short signals. Its resampler is checked against
+scipy.signal.resample_poly, whose default filter it reproduces.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import resample_poly
 
-from mcse.metrics import MetricReport, UtteranceScore, challenge_metric, stoi, wer
+from mcse import simkit
+from mcse.metrics import STOI_FS, MetricReport, UtteranceScore, _resample, challenge_metric, stoi, wer
 
 
 def speechlike(n: int, fs: int = 16000, seed: int = 0) -> np.ndarray:
@@ -92,6 +95,31 @@ class TestStoi:
         x = np.zeros((2, 24000))
         with pytest.raises(ValueError):
             stoi(x, x, 16000)
+
+
+class TestResample:
+    # the last two inputs are shorter than their filter (161 and 8821 taps)
+    @pytest.mark.parametrize("fs, n", [(8000, 12000), (16000, 24000), (44100, 66150),
+                                       (48000, 72000), (16000, 100), (44100, 300)])
+    def test_matches_scipy_resample_poly(self, fs, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        g = int(np.gcd(fs, STOI_FS))
+        want = resample_poly(x, STOI_FS // g, fs // g)
+        got = _resample(x, STOI_FS // g, fs // g)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_stoi_of_a_scene_matches_scipy_resampled(self):
+        """STOI at 16 kHz equals STOI at its native rate on the signals
+        resample_poly takes to 10 kHz."""
+        r = np.random.default_rng(5)
+        scene = simkit.SceneSpec(max_image_order=6)
+        s, n = simkit.synth_speech(r, 24000), simkit.synth_noise(r, 24000)
+        mixture, _, dry = simkit.mix(s, n, simkit.simulate_rir(scene, "source"),
+                                     simkit.simulate_rir(scene, "noise"), 5.0)
+        ref, deg = dry.samples[0], mixture.samples[0]
+        want = stoi(resample_poly(ref, 5, 8), resample_poly(deg, 5, 8), STOI_FS)
+        assert abs(stoi(ref, deg, 16000) - want) <= 1e-12
 
 
 class TestWer:

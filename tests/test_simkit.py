@@ -1,14 +1,17 @@
 """Room simulation against closed-form geometry.
 
 The mirror enumeration is cross-checked by unfolding first-order
-reflections by hand, convolution against a direct O(N*M) loop, and the
-SNR contract by re-measuring the rendered components.
+reflections by hand, convolution against a direct O(N*M) loop and
+against scipy.signal.fftconvolve, and the SNR contract by re-measuring
+the rendered components.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from mcse.dsp import TimeSignal
 from mcse.simkit import (
@@ -18,6 +21,7 @@ from mcse.simkit import (
     DatasetConfig,
     RoomImpulseResponse,
     SceneSpec,
+    _fft_size,
     _image_sources,
     build_dataset,
     candidate_positions,
@@ -293,6 +297,27 @@ class TestMix:
             lo = max(0, i - len(h) + 1)
             want[i] = np.dot(x[lo : i + 1], h[i - lo :: -1][: i + 1 - lo])
         np.testing.assert_allclose(revclean.samples[2], want, atol=1e-6)
+
+    def test_bytes_match_scipy_fftconvolve(self):
+        """An order-6 scene renders to the bytes that per-channel
+        fftconvolve and the same SNR scaling give."""
+        scene = SceneSpec(max_image_order=6)
+        rs, rn = simulate_rir(scene, "source"), simulate_rir(scene, "noise")
+        s = synth_speech(np.random.default_rng(3), 16000)
+        n = synth_noise(np.random.default_rng(4), 16000)
+        mixture, revclean, _ = mix(s, n, rs, rn, 5.0)
+
+        def render(sig, rir):
+            return np.stack([fftconvolve(sig, h)[: sig.shape[0]] for h in rir.taps])
+
+        rev_s, rev_n = render(s.samples[0], rs), render(n.samples[0], rn)
+        scale = np.sqrt(np.sum(rev_s[0] ** 2) / (np.sum(rev_n[0] ** 2) * 10.0 ** 0.5))
+        assert np.array_equal(revclean.samples, rev_s)
+        assert np.array_equal(mixture.samples, rev_s + scale * rev_n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 97, 1000, 16001, 31249, 58081, 2**20 + 1, 10**9 + 7])
+    def test_fft_size_is_scipys(self, n):
+        assert _fft_size(n) == next_fast_len(n, real=True)
 
     def test_output_length_is_dry_length(self):
         s = TimeSignal(rng.standard_normal((1, 300)), 16000)
