@@ -1,7 +1,8 @@
-"""Classical multichannel baselines: delay-and-sum, WPE dereverberation,
-mask-driven MVDR beamforming, and a learned filter-and-sum front end.
+"""Classical multichannel baselines: delay-and-sum, WPE dereverberation
+and mask-driven MVDR beamforming. (The learned filter-and-sum baseline is
+Stage I of the two-stage model: pipeline.filter_and_sum.)
 
-All four consume and produce Spectrograms. WPE and MVDR work per
+All three consume and produce Spectrograms. WPE and MVDR work per
 frequency band on the (T, P) matrix of that band's frames. WPE and
 frame-mode MVDR split their work in two through layers._pair (one half on
 its worker thread when there is one); the split does not change the
@@ -16,11 +17,9 @@ from functools import partial
 
 import numpy as np
 
-from .crn import CrnConfig, CrnParams, apply_crn_mask, init_crn_params
 from .dsp import Spectrogram, TimeSignal, istft, shift_fractional, stft
 from .layers import _pair
 from .simkit import SPEED_OF_SOUND
-from .tensor import no_grad
 
 WPE_TAPS = 10
 WPE_DELAY = 3
@@ -302,41 +301,3 @@ def oracle_masks(clean: Spectrogram, interference: Spectrogram):
     sm = np.zeros_like(es)
     sm[live] = es[live] / total[live]
     return sm, 1.0 - sm
-
-
-# -- learned filter-and-sum -------------------------------------------------------------------
-
-
-@dataclass
-class FilterSumModel:
-    p_channels: int
-    crn: CrnParams
-
-    def named_params(self) -> dict:
-        return {f"crn.{k}": v for k, v in self.crn.params.items()}
-
-    def named_buffers(self) -> dict:
-        return {f"crn.{k}": v for k, v in self.crn.buffers.items()}
-
-
-def init_filter_sum_model(p_channels: int, width_scale=1, freq_bins: int = 256,
-                          seed: int = 0) -> FilterSumModel:
-    cfg = CrnConfig(
-        c_in=2 * p_channels, c_out=2 * p_channels, width_scale=width_scale, freq_bins=freq_bins,
-    )
-    rng = np.random.default_rng(seed)
-    return FilterSumModel(p_channels, init_crn_params(cfg, rng))
-
-
-def filter_sum_tensors(y_re, y_im, model: FilterSumModel, training: bool = False):
-    """Graph version for training: returns single-channel (T, F) tensors."""
-    re, im = apply_crn_mask(y_re, y_im, model.crn, training)
-    return re.sum(axis=0), im.sum(axis=0)
-
-
-def filter_and_sum_nn(y: Spectrogram, model: FilterSumModel) -> Spectrogram:
-    if y.channels != model.p_channels:
-        raise ValueError(f"model expects {model.p_channels} channels, got {y.channels}")
-    with no_grad():
-        re, im = filter_sum_tensors(y.re, y.im, model, training=False)
-    return y.like(re.data[None].astype(np.float64), im.data[None].astype(np.float64))

@@ -1,7 +1,8 @@
-"""Binary checkpoints: magic + version, a JSON header of the values the
-model's init function builds it from, then named float32 little-endian
-tensors. Parameters, batchnorm buffers and (optionally) optimizer state
-all ride the same tensor table, so a save/load round trip is bit-exact.
+"""Binary checkpoints of a TwoStageModel: magic + version, a JSON header
+of the values init_two_stage_model builds it from, then named float32
+little-endian tensors. Parameters, batchnorm buffers and (optionally)
+optimizer state all ride the same tensor table, so a save/load round trip
+is bit-exact.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FilterSumModel, init_filter_sum_model
 from .optim import AdamWState
 from .pipeline import TwoStageModel, init_two_stage_model
 
@@ -71,24 +71,15 @@ class _Layout(np.random.Generator):
         return np.empty(size, dtype=np.float32)
 
 
-# kind -> (model class, its init function, the CRN whose config the header holds)
-KINDS = {
-    "two_stage": (TwoStageModel, init_two_stage_model, "stage1"),
-    "filter_sum": (FilterSumModel, init_filter_sum_model, "crn"),
-}
+KIND = "two_stage"  # the header's model kind, the one this package reads and writes
 HEADER_KEYS = {"kind", "p_channels", "width_scale", "freq_bins", "optimizer_step"}
 
 
-def save_checkpoint(path, model, optimizer: AdamWState | None = None):
-    """Serialize a TwoStageModel or FilterSumModel with optional optimizer
-    state. Tensors are written as float32 regardless of working dtype."""
-    for kind, (cls, _, crn) in KINDS.items():
-        if isinstance(model, cls):
-            break
-    else:
-        raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    config = getattr(model, crn).config
-    header = {"kind": kind, "p_channels": model.p_channels,
+def save_checkpoint(path, model: TwoStageModel, optimizer: AdamWState | None = None):
+    """Serialize a model with optional optimizer state. Tensors are written
+    as float32 regardless of working dtype."""
+    config = model.stage1.config
+    header = {"kind": KIND, "p_channels": model.p_channels,
               "width_scale": str(config.width_scale), "freq_bins": config.freq_bins,
               "optimizer_step": optimizer.step if optimizer is not None else None}
 
@@ -135,11 +126,10 @@ def load_checkpoint(path):
     if not isinstance(header, dict) or set(header) != HEADER_KEYS:
         raise ValueError(f"checkpoint header {header!r} does not hold exactly the keys "
                          f"{sorted(HEADER_KEYS)}")
-    kind = header["kind"]
-    if kind not in KINDS:
-        raise ValueError(f"unsupported model kind {kind!r}")
-    model = KINDS[kind][1](int(header["p_channels"]), Fraction(header["width_scale"]),
-                           int(header["freq_bins"]), seed=_Layout(np.random.PCG64(0)))
+    if header["kind"] != KIND:
+        raise ValueError(f"unsupported model kind {header['kind']!r}")
+    model = init_two_stage_model(int(header["p_channels"]), Fraction(header["width_scale"]),
+                                 int(header["freq_bins"]), seed=_Layout(np.random.PCG64(0)))
 
     params = model.named_params()
     buffers = model.named_buffers()

@@ -4,7 +4,8 @@ Subcommands:
   simulate   render a synthetic multichannel dataset and its manifest
   train      optimize a stage of the two-stage model on a manifest
   enhance    run the full pipeline on a multichannel WAV
-  baseline   ds | wpe | mvdr | filtersum on a multichannel WAV
+  baseline   ds | wpe | mvdr | filtersum on a multichannel WAV (filtersum
+             sums Stage I of a two-stage model, from train or drawn fresh)
   evaluate   score estimate WAVs against reference WAVs (STOI/WER/combined)
 
 simulate, train and baseline accept --config with `key = value` lines,
@@ -28,7 +29,7 @@ from .config import ConfigError, load_config
 from .dsp import SAMPLE_RATE, SignalError, check_signal, istft, stft
 from .metrics import MetricReport, stoi, wer
 from .optim import TrainConfig
-from .pipeline import enhance, init_two_stage_model
+from .pipeline import enhance, filter_and_sum, init_two_stage_model
 from .simkit import DEFAULT_ROOM, DatasetConfig, build_dataset
 from .train import load_training_set, train
 from .wavio import read_wav, write_wav
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ba.add_argument("--delays", help="comma-separated per-channel delays in samples (ds)")
     ba.add_argument("--speech-ref", help="clean-component WAV for oracle masks (mvdr)")
     ba.add_argument("--noise-ref", help="noise-component WAV for oracle masks (mvdr)")
-    ba.add_argument("--model", help="checkpoint for filtersum")
+    ba.add_argument("--model", help="checkpoint written by train, for filtersum")
     ba.add_argument("--seed", type=int, help="init seed of filtersum without --model")
 
     ev = sub.add_parser("evaluate", help="score estimates against references")
@@ -154,9 +155,7 @@ def _cmd_baseline(args) -> int:
     if args.model:  # filtersum, the one method that reads it
         from .checkpoint import load_checkpoint
 
-        model, _, header = load_checkpoint(args.model)
-        if header["kind"] != "filter_sum":
-            raise ValueError(f"{args.model} holds a {header['kind']!r} model, not filter_sum")
+        model, _, _ = load_checkpoint(args.model)
         channels = model.p_channels
     # the learned filter-and-sum is built for the 16 kHz front end
     rate = SAMPLE_RATE if args.method == "filtersum" else None
@@ -196,9 +195,9 @@ def _cmd_baseline(args) -> int:
         )
     elif args.method == "filtersum":
         if not args.model:
-            model = B.init_filter_sum_model(
+            model = init_two_stage_model(
                 y.channels, width_scale=cfg.get("width_scale", 1), seed=args.seed or 0)
-        out_spec = B.filter_and_sum_nn(y, model)
+        out_spec = filter_and_sum(y, model)
     else:  # unreachable behind argparse choices
         return 2
 

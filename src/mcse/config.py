@@ -29,7 +29,6 @@ KEYS = {
         "snr_db_max": float,
         "absorption": float,
         "max_image_order": int,
-        "sample_rate": int,
         "room_x": float,
         "room_y": float,
         "room_z": float,

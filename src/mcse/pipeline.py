@@ -13,6 +13,9 @@ output. One parameter set serves every band; bands ride the batch axis.
 Stage II: a MISO CRN takes the spatial filter output plus the reference
 mixture channel (4 input channels) and directly maps to the clean
 spectrogram estimate.
+
+The learned filter-and-sum baseline is Stage I alone, its per-channel
+estimates summed (filter_and_sum).
 """
 
 from __future__ import annotations
@@ -183,20 +186,31 @@ def two_stage_tensors(y_re, y_im, model: TwoStageModel, training: bool = False):
 # -- spectrogram-level public API ---------------------------------------------------
 
 
+def _inference(like: Spectrogram, forward) -> Spectrogram:
+    """forward() run under no_grad, its (re, im) tensors, (P, T, F) or one
+    channel's (T, F), as a float64 Spectrogram with like's framing."""
+    with no_grad():
+        re, im = (t.data.reshape(-1, *t.shape[-2:]).astype(np.float64) for t in forward())
+    return like.like(re, im)
+
+
 def stage1_mimo(y: Spectrogram, model: TwoStageModel) -> Spectrogram:
     """Per-channel first-stage estimates of the clean reverberant image."""
     _check_spec(model, y)
-    with no_grad():
-        s_re, s_im = stage1_tensors(y.re, y.im, model, training=False)
-    return y.like(s_re.data.astype(np.float64), s_im.data.astype(np.float64))
+    return _inference(y, lambda: stage1_tensors(y.re, y.im, model))
+
+
+def filter_and_sum(y: Spectrogram, model: TwoStageModel) -> Spectrogram:
+    """The learned filter-and-sum baseline: the first-stage estimates
+    summed over channels (in float32, as the network computes)."""
+    _check_spec(model, y)
+    return _inference(y, lambda: [t.sum(axis=0) for t in stage1_tensors(y.re, y.im, model)])
 
 
 def spatial_filter(s1: Spectrogram, model: TwoStageModel) -> Spectrogram:
     """Collapse P first-stage channels to one with the band-shared filter."""
     _check_spec(model, s1)
-    with no_grad():
-        f_re, f_im = spatial_tensors(s1.re, s1.im, model)
-    return s1.like(f_re.data[None].astype(np.float64), f_im.data[None].astype(np.float64))
+    return _inference(s1, lambda: spatial_tensors(s1.re, s1.im, model))
 
 
 def stage2_miso(filtered: Spectrogram, y_ref: Spectrogram, model: TwoStageModel) -> Spectrogram:
@@ -206,11 +220,8 @@ def stage2_miso(filtered: Spectrogram, y_ref: Spectrogram, model: TwoStageModel)
         raise ValueError("stage2_miso expects single-channel spectrograms")
     if filtered.re.shape != y_ref.re.shape:
         raise ValueError("filtered/reference shape mismatch")
-    with no_grad():
-        e_re, e_im = stage2_tensors(
-            filtered.re[0], filtered.im[0], y_ref.re[0], y_ref.im[0], model, training=False
-        )
-    return filtered.like(e_re.data[None].astype(np.float64), e_im.data[None].astype(np.float64))
+    return _inference(filtered, lambda: stage2_tensors(
+        filtered.re[0], filtered.im[0], y_ref.re[0], y_ref.im[0], model))
 
 
 def enhance(x: TimeSignal, model: TwoStageModel) -> TimeSignal:
@@ -221,10 +232,8 @@ def enhance(x: TimeSignal, model: TwoStageModel) -> TimeSignal:
     s = model.stft
     check_signal(x, "input", s.sample_rate, model.p_channels)
     y = stft(x, s.frame_size, s.hop, s.fft_size)
-    with no_grad():
-        e_re, e_im = two_stage_tensors(y.re, y.im, model, training=False)
-    est = y.like(e_re.data[None].astype(np.float64), e_im.data[None].astype(np.float64))
+    est = _inference(y, lambda: two_stage_tensors(y.re, y.im, model))
     out = istft(est, length=x.length)
-    del y, e_re, e_im, est
+    del y, est
     _malloc_trim(0)  # untrimmed, the same calls peaked 30-70 MB apart from run to run
     return out

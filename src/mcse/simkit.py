@@ -354,7 +354,6 @@ class DatasetConfig:
     absorption: float = 0.3
     max_image_order: int = 2
     room: tuple = DEFAULT_ROOM
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         if self.num_utterances < 1:
@@ -363,19 +362,19 @@ class DatasetConfig:
             raise ValueError("seconds must be positive")
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("snr_db_min must not exceed snr_db_max")
-        _check_rate_and_order(self.sample_rate, self.max_image_order)
-        n = int(round(self.seconds * self.sample_rate))
+        n = int(round(self.seconds * SAMPLE_RATE))
         if n < NOISE_KERNEL:
             raise ValueError(
-                f"seconds = {self.seconds} gives {n} samples at {self.sample_rate} Hz; "
+                f"seconds = {self.seconds} gives {n} samples at {SAMPLE_RATE} Hz; "
                 f"at least {NOISE_KERNEL} are needed"
             )
         # a scene between two corners of the candidate grid checks the room,
-        # the absorption and the arrays before build_dataset writes anything
+        # the absorption, the image order and the arrays before build_dataset
+        # writes anything
         grid = candidate_positions(self.room)
         SceneSpec(room=self.room, absorption=self.absorption, source_position=tuple(grid[0]),
-                  noise_position=tuple(grid[-1]), max_image_order=self.max_image_order,
-                  sample_rate=self.sample_rate).mic_positions()
+                  noise_position=tuple(grid[-1]),
+                  max_image_order=self.max_image_order).mic_positions()
 
 
 def _format_pos(pos) -> str:
@@ -383,7 +382,8 @@ def _format_pos(pos) -> str:
 
 
 def build_dataset(config: DatasetConfig) -> Path:
-    """Render a synthetic dataset and write its manifest.
+    """Render a synthetic dataset at the front end's rate (dsp.SAMPLE_RATE)
+    and write its manifest.
 
     Per utterance: '<id>_mix.wav' (8 ch), '<id>_revclean.wav' (8 ch),
     '<id>_dry.wav' (1 ch), all 32-bit float, plus one manifest line with
@@ -392,7 +392,7 @@ def build_dataset(config: DatasetConfig) -> Path:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = candidate_positions(config.room)
-    n = int(round(config.seconds * config.sample_rate))
+    n = int(round(config.seconds * SAMPLE_RATE))
 
     children = np.random.SeedSequence(config.seed).spawn(config.num_utterances)
     lines = []
@@ -407,10 +407,9 @@ def build_dataset(config: DatasetConfig) -> Path:
             noise_position=tuple(grid[noise_idx]),
             snr_db=snr,
             max_image_order=config.max_image_order,
-            sample_rate=config.sample_rate,
         )
-        speech = synth_speech(rng, n, config.sample_rate)
-        noise = synth_noise(rng, n, config.sample_rate)
+        speech = synth_speech(rng, n)
+        noise = synth_noise(rng, n)
         rir_s = simulate_rir(scene, "source")
         rir_n = simulate_rir(scene, "noise")
         mixture, revclean, dry = mix(speech, noise, rir_s, rir_n, snr)

@@ -17,13 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mcse.baselines as B
 from mcse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mcse.cli import main
 from mcse.config import KEYS, ConfigError, load_config, parse_config_text
-from mcse.dsp import TimeSignal, stft
+from mcse.dsp import TimeSignal, istft, stft
 from mcse.optim import AdamWState, TrainConfig, adamw_step, lr_schedule
-from mcse.pipeline import enhance, init_two_stage_model
+from mcse.pipeline import enhance, filter_and_sum, init_two_stage_model
 from mcse.simkit import DatasetConfig
 from mcse.tensor import Tensor
 import mcse.train
@@ -140,7 +139,7 @@ class TestConfigParsing:
         assert parse_config_text("seconds = 1.5", "simulate") == {"seconds": 1.5}
 
     def test_each_subcommand_has_its_own_keys(self):
-        assert {c: len(k) for c, k in KEYS.items()} == {"simulate": 11, "train": 8, "baseline": 6}
+        assert {c: len(k) for c, k in KEYS.items()} == {"simulate": 10, "train": 8, "baseline": 6}
         # baseline takes its seed from --seed only
         assert "seed" not in KEYS["baseline"]
         with pytest.raises(ConfigError, match=r"x\.cfg:1: .*'lr' for simulate"):
@@ -220,17 +219,41 @@ class TestCheckpoint:
             np.testing.assert_array_equal(opt.v[name], state.v[name].astype(np.float32))
 
     def test_filter_sum_round_trip(self, tmp_path):
-        model = B.init_filter_sum_model(2, width_scale=Fraction(1, 16), freq_bins=256, seed=5)
+        """The learned filter-and-sum of a reloaded checkpoint, Stage I with
+        its batchnorm buffers, gives the same bytes as the saved model."""
+        model = tiny_model(seed=5)
+        for b in model.named_buffers().values():
+            b += np.random.default_rng(1).standard_normal(b.shape).astype(b.dtype) * 0.1
         path = tmp_path / "fs.bin"
         save_checkpoint(path, model)
-        loaded, _, header = load_checkpoint(path)
-        assert header == {"kind": "filter_sum", "p_channels": 2, "width_scale": "1/16",
-                          "freq_bins": 256, "optimizer_step": None}
-        assert loaded.p_channels == 2
-        src, dst = model.named_params(), loaded.named_params()
-        assert set(src) == set(dst)
-        for name in src:
-            np.testing.assert_array_equal(src[name].data, dst[name].data)
+        loaded, _, _ = load_checkpoint(path)
+        y = stft(TimeSignal(0.1 * np.random.default_rng(3).standard_normal((2, 3000)), 16000))
+        a, b = filter_and_sum(y, model), filter_and_sum(y, loaded)
+        assert a.channels == 1
+        assert a.re.tobytes() == b.re.tobytes() and a.im.tobytes() == b.im.tobytes()
+
+    def test_filter_sum_kind_is_refused(self, tmp_path, capsys):
+        """A version-2 file of the deleted filter_sum kind is refused by
+        name, by load_checkpoint and by each command that loads one: exit
+        1, no traceback, nothing written."""
+        path = tmp_path / "fs.bin"
+        save_checkpoint(path, tiny_model())
+        raw = path.read_bytes()
+        start = len(MAGIC) + 4  # magic, then the version word
+        (hlen,) = struct.unpack("<I", raw[start:start + 4])
+        header = json.loads(raw[start + 4:start + 4 + hlen])
+        header["kind"] = "filter_sum"
+        hdr = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:start] + struct.pack("<I", len(hdr)) + hdr
+                         + raw[start + 4 + hlen:])
+        with pytest.raises(ValueError, match="^unsupported model kind 'filter_sum'$"):
+            load_checkpoint(path)
+        for command in ("enhance --model {p} --in {d}/x.wav --out {d}/y.wav",
+                        "train --model {p} --data {d}/m.txt --out {d}/run",
+                        "baseline filtersum --model {p} --in {d}/x.wav --out {d}/y.wav"):
+            assert main(command.format(p=path, d=tmp_path).split()) == 1
+            assert capsys.readouterr().err == "error: unsupported model kind 'filter_sum'\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["fs.bin"]
 
     def test_version1_is_refused(self, tmp_path):
         path = tmp_path / "old.bin"
@@ -250,9 +273,9 @@ class TestCheckpoint:
 
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
-    path = tmp_path_factory.mktemp("ckpt") / "fs.bin"
-    save_checkpoint(path, B.init_filter_sum_model(1, width_scale=Fraction(1, 16),
-                                                  freq_bins=64, seed=5))
+    path = tmp_path_factory.mktemp("ckpt") / "small.bin"
+    save_checkpoint(path, init_two_stage_model(1, width_scale=Fraction(1, 16),
+                                               freq_bins=64, seed=5))
     return path.read_bytes(), path.with_name("cut.bin")
 
 
@@ -260,9 +283,9 @@ class TestTruncatedCheckpoint:
     @settings(max_examples=60, deadline=None)
     @given(frac=st.floats(0.0, 1.0, exclude_max=True))
     @example(frac=0.0)
-    @example(frac=2.2e-4)  # inside the version word
-    @example(frac=3.1e-4)  # inside the header length
-    @example(frac=2e-3)  # inside the JSON header
+    @example(frac=1.6e-5)  # inside the version word
+    @example(frac=2.2e-5)  # inside the header length
+    @example(frac=1e-4)  # inside the JSON header
     def test_any_cut_raises_value_error(self, small_checkpoint, frac):
         raw, path = small_checkpoint
         cut = int(frac * len(raw))
@@ -275,7 +298,7 @@ class TestTruncatedCheckpoint:
     def test_message_names_the_tensor(self, small_checkpoint):
         raw, path = small_checkpoint
         path.write_bytes(raw[:-3])
-        with pytest.raises(ValueError, match=r"truncated: tensor 'buffer\.crn\..*' needs 4 bytes"):
+        with pytest.raises(ValueError, match=r"truncated: tensor 'buffer\.stage2\..*' needs 4 bytes"):
             load_checkpoint(path)
 
 
@@ -321,21 +344,22 @@ class TestCorruptCheckpoint:
 
 class TestCheckpointShapes:
     @pytest.mark.parametrize("key", [
-        "param.crn.enc1.b", "buffer.crn.enc1.bn.mean", "opt.m.crn.enc1.b", "opt.v.crn.enc1.b",
+        "param.stage1.enc1.b", "buffer.stage1.enc1.bn.mean", "opt.m.stage1.enc1.b",
+        "opt.v.stage1.enc1.b",
     ])
     def test_wrong_shape_is_named(self, tmp_path, key):
         """A stored tensor whose shape differs from its model slot is
         refused, not broadcast into the slot or kept as optimizer state."""
-        model = B.init_filter_sum_model(1, width_scale=Fraction(1, 16), freq_bins=64, seed=5)
+        model = init_two_stage_model(1, width_scale=Fraction(1, 16), freq_bins=64, seed=5)
         state = AdamWState.for_params(model.named_params())
         wrong = np.zeros(1, dtype=np.float32)  # enc1 has 2 channels at width 1/16
-        kind, name = key.rsplit(".crn.", 1)
+        kind, name = key.rsplit(".stage1.", 1)
         if kind == "param":
-            model.crn.params[name].data = wrong
+            model.stage1.params[name].data = wrong
         elif kind == "buffer":
-            model.crn.buffers[name] = wrong
+            model.stage1.buffers[name] = wrong
         else:
-            getattr(state, kind[-1])[f"crn.{name}"] = wrong
+            getattr(state, kind[-1])[f"stage1.{name}"] = wrong
         path = tmp_path / "bad.bin"
         save_checkpoint(path, model, state)
         with pytest.raises(ValueError,
@@ -552,14 +576,41 @@ class TestCli:
         assert outs[None].tobytes() == outs[0].tobytes()
         assert not np.array_equal(outs[0], outs[1])
 
-    def test_simulate_zero_sample_rate_exits_1(self, tmp_path, capsys):
-        """A zero rate is refused with its name and value before the output
-        directory is created."""
+    def test_simulate_sample_rate_key_exits_2(self, tmp_path, capsys):
+        """simulate renders at the front end's fixed rate: a sample_rate key
+        is an unknown key, refused before the output directory is created."""
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("sample_rate = 0\n")
-        assert main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == "error: sample_rate must be a positive integer, got 0\n"
+        cfg.write_text("sample_rate = 16000\n")
+        assert main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:1: unknown configuration key 'sample_rate' for simulate\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.cfg"]
+
+    def test_filtersum_model_is_summed_stage1(self, tmp_path):
+        """baseline filtersum --model runs Stage I of a checkpoint written by
+        train() and sums it over channels, in float32 before the float64
+        cast: its WAV is those samples, written as float32."""
+        from mcse.pipeline import stage1_tensors
+        from mcse.tensor import no_grad
+        from mcse.wavio import read_wav
+
+        model = tiny_model(seed=3)
+        cfg = TrainConfig(batch_size=1, max_iters=2, stage="stage1", seed=5, lr=1e-3)
+        train(tiny_data(model), model, cfg, out_dir=tmp_path / "run")
+        x = TimeSignal(0.1 * np.random.default_rng(4).standard_normal((2, 3000)), 16000)
+        write_wav(tmp_path / "x.wav", x)
+        assert main(["baseline", "filtersum", "--model", str(tmp_path / "run/checkpoint.bin"),
+                     "--in", str(tmp_path / "x.wav"), "--out", str(tmp_path / "y.wav")]) == 0
+
+        x = read_wav(tmp_path / "x.wav")  # the float32 samples the command read
+        y = stft(x)
+        with no_grad():
+            re, im = stage1_tensors(y.re, y.im, model)
+        summed = y.like(re.data.sum(axis=0)[None].astype(np.float64),
+                        im.data.sum(axis=0)[None].astype(np.float64))
+        expected = istft(summed, length=x.length).samples.astype(np.float32)
+        got = read_wav(tmp_path / "y.wav").samples.astype(np.float32)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("line, message", [
         ("seconds = 0.00001", "seconds = 1e-05 gives 0 samples at 16000 Hz; at least 17 are needed"),
@@ -654,7 +705,7 @@ class TestBadInputs:
                      "baseline mvdr --in {d}/mix.wav --speech-ref {d}/s.wav "
                      "--noise-ref {d}/n.wav --out {d}/out.wav"),
         "filtersum": ({"mix": 2},
-                      "baseline filtersum --model {d}/fs.bin --in {d}/mix.wav --out {d}/out.wav"),
+                      "baseline filtersum --model {d}/model.bin --in {d}/mix.wav --out {d}/out.wav"),
         "filtersum_fresh": ({"mix": 2}, "baseline filtersum --in {d}/mix.wav --out {d}/out.wav"),
         "evaluate": ({"ref/u0": 1, "est/u0": 1},
                      "evaluate --ref {d}/ref --est {d}/est --out {d}/out.txt"),
@@ -704,8 +755,6 @@ class TestBadInputs:
             else:
                 _write_signal(path, channels + 1)
         save_checkpoint(tmp_path / "model.bin", tiny_model())
-        save_checkpoint(tmp_path / "fs.bin",
-                        B.init_filter_sum_model(2, width_scale=Fraction(1, 16), seed=5))
         (tmp_path / "manifest.txt").write_text(
             "u0 mix=u0_mix.wav revclean=u0_revclean.wav dry=u0_dry.wav "
             "snr_db=5.0 src=1,1,1 noise=2,2,2\n")

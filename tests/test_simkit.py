@@ -104,14 +104,22 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec(noise_position=(1.0, 1.0, -0.5))
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("sample_rate", 0, "sample_rate must be a positive integer, got 0"),
-        ("sample_rate", -16000, "sample_rate must be a positive integer, got -16000"),
-        ("sample_rate", 16000.5, "sample_rate must be a positive integer, got 16000.5"),
-        ("max_image_order", 2.5, "max_image_order must be a nonnegative integer, got 2.5"),
-        ("max_image_order", -1, "max_image_order must be a nonnegative integer, got -1"),
-    ], ids=["rate_zero", "rate_negative", "rate_fractional", "order_fractional", "order_negative"])
-    @pytest.mark.parametrize("cls", [SceneSpec, DatasetConfig], ids=lambda c: c.__name__)
+    # a dataset has no rate of its own: it renders at the front end's
+    @pytest.mark.parametrize("cls, key, value, message", [
+        pytest.param(SceneSpec, "sample_rate", 0,
+                     "sample_rate must be a positive integer, got 0", id="SceneSpec-rate_zero"),
+        pytest.param(SceneSpec, "sample_rate", -16000,
+                     "sample_rate must be a positive integer, got -16000",
+                     id="SceneSpec-rate_negative"),
+        pytest.param(SceneSpec, "sample_rate", 16000.5,
+                     "sample_rate must be a positive integer, got 16000.5",
+                     id="SceneSpec-rate_fractional"),
+        *(pytest.param(cls, "max_image_order", value,
+                       f"max_image_order must be a nonnegative integer, got {value}",
+                       id=f"{cls.__name__}-order_{name}")
+          for cls in (SceneSpec, DatasetConfig)
+          for name, value in (("fractional", 2.5), ("negative", -1))),
+    ])
     def test_bad_rate_or_order_raises(self, cls, key, value, message):
         """A rate or order that would render an empty or wrong RIR fails at
         construction, naming the field and the value."""
@@ -423,7 +431,7 @@ class TestDataset:
     def test_too_few_samples_raises(self, seconds):
         n = round(seconds * 16000)
         with pytest.raises(ValueError, match=rf"gives {n} samples at 16000 Hz; at least 17"):
-            DatasetConfig(seconds=seconds, sample_rate=16000)
+            DatasetConfig(seconds=seconds)
 
     def test_shortest_renderable_clip(self, tmp_path):
         manifest = build_dataset(DatasetConfig(out_dir=tmp_path, num_utterances=1,
