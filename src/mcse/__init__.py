@@ -5,22 +5,4 @@ used to score all of them. Everything runs on numpy; gradients come from
 the bundled reverse-mode engine in mcse.tensor.
 """
 
-from .dsp import SAMPLE_RATE, Spectrogram, TimeSignal, istft, stft
-from .pipeline import TwoStageModel, enhance, init_two_stage_model
-from .tensor import Tensor, no_grad
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "SAMPLE_RATE",
-    "Spectrogram",
-    "TimeSignal",
-    "Tensor",
-    "TwoStageModel",
-    "enhance",
-    "init_two_stage_model",
-    "istft",
-    "no_grad",
-    "stft",
-    "__version__",
-]

@@ -4,7 +4,7 @@ Stage I of the two-stage model: pipeline.filter_and_sum.)
 
 All three consume and produce Spectrograms. WPE and MVDR work per
 frequency band on the (T, P) matrix of that band's frames. WPE and
-frame-mode MVDR split their work in two through layers._pair (one half on
+frame-mode MVDR split their work in two through runtime.pair (one half on
 its worker thread when there is one); the split does not change the
 arithmetic, so their output bytes do not depend on it.
 """
@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .dsp import Spectrogram, TimeSignal, istft, shift_fractional, stft
-from .layers import _pair
+from .runtime import pair
 from .simkit import SPEED_OF_SOUND
 
 WPE_TAPS = 10
@@ -79,7 +79,7 @@ def wpe(
     a warning.
 
     The bands are split in two halves: the calling thread runs the lower
-    half while the layers._pair worker runs the upper half, each through
+    half while the runtime.pair worker runs the upper half, each through
     the same per-band loop. An unsolvable band raises once both halves are
     done.
     """
@@ -112,7 +112,7 @@ def wpe(
             out[:, :, f] = xf.T
 
     half = (f_bins + 1) // 2
-    _pair(partial(bands, 0, half), partial(bands, half, f_bins))
+    pair(partial(bands, 0, half), partial(bands, half, f_bins))
     return y.like(out.real.copy(), out.imag.copy())
 
 
@@ -231,7 +231,7 @@ def mask_mvdr(
     Frame mode computes it in full at the first frame and then tracks it
     with warm-started power steps (_track_steering).
 
-    Frame mode runs in blocks of MVDR_BLOCK frames, one layers._pair call
+    Frame mode runs in blocks of MVDR_BLOCK frames, one runtime.pair call
     per block: the calling thread updates the covariances and tracks the
     steering of block k + 1 while the worker computes the weights and
     output of block k, each as one call batched over (frames, bands).
@@ -285,7 +285,7 @@ def mask_mvdr(
         block = track(0)
         for t0 in range(0, t_len, MVDR_BLOCK):
             nxt = min(t0 + MVDR_BLOCK, t_len)  # the last block has no successor: 0 frames
-            block, _ = _pair(partial(track, nxt), partial(beamform, t0, *block))
+            block, _ = pair(partial(track, nxt), partial(beamform, t0, *block))
     else:
         raise ValueError(f"mode must be 'block' or 'frame', got {mode!r}")
     return y.like(out.real[None].copy(), out.imag[None].copy())

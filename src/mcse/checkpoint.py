@@ -72,7 +72,11 @@ class _Layout(np.random.Generator):
 
 
 KIND = "two_stage"  # the header's model kind, the one this package reads and writes
-HEADER_KEYS = {"kind", "p_channels", "width_scale", "freq_bins", "optimizer_step"}
+# each header key but kind, with the JSON type its value must have
+HEADER_TYPES = {"p_channels": (int, "an integer"), "freq_bins": (int, "an integer"),
+                "width_scale": (str, "a string"),
+                "optimizer_step": ((int, type(None)), "an integer or null")}
+HEADER_KEYS = {"kind", *HEADER_TYPES}
 
 
 def save_checkpoint(path, model: TwoStageModel, optimizer: AdamWState | None = None):
@@ -128,8 +132,11 @@ def load_checkpoint(path):
                          f"{sorted(HEADER_KEYS)}")
     if header["kind"] != KIND:
         raise ValueError(f"unsupported model kind {header['kind']!r}")
-    model = init_two_stage_model(int(header["p_channels"]), Fraction(header["width_scale"]),
-                                 int(header["freq_bins"]), seed=_Layout(np.random.PCG64(0)))
+    for key, (types, what) in HEADER_TYPES.items():
+        if isinstance(header[key], bool) or not isinstance(header[key], types):
+            raise ValueError(f"checkpoint header {key!r} must be {what}, not {header[key]!r}")
+    model = init_two_stage_model(header["p_channels"], Fraction(header["width_scale"]),
+                                 header["freq_bins"], seed=_Layout(np.random.PCG64(0)))
 
     params = model.named_params()
     buffers = model.named_buffers()
@@ -156,9 +163,9 @@ def load_checkpoint(path):
         b[...] = tensors[key]
 
     optimizer = None
-    if header.get("optimizer_step") is not None:
+    if header["optimizer_step"] is not None:
         # stagewise runs track moments for a subset of the parameters
-        optimizer = AdamWState(step=int(header["optimizer_step"]))
+        optimizer = AdamWState(step=header["optimizer_step"])
         for key, arr in tensors.items():
             if key.startswith("opt.m."):
                 optimizer.m[key[len("opt.m."):]] = arr

@@ -25,12 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines as B
+from .checkpoint import load_checkpoint
 from .config import ConfigError, load_config
 from .dsp import SAMPLE_RATE, SignalError, check_signal, istft, stft
 from .metrics import MetricReport, stoi, wer
 from .optim import TrainConfig
 from .pipeline import enhance, filter_and_sum, init_two_stage_model
-from .simkit import DEFAULT_ROOM, DatasetConfig, build_dataset
+from .simkit import DEFAULT_ROOM, DatasetConfig, build_dataset, read_manifest
 from .train import load_training_set, train
 from .wavio import read_wav, write_wav
 
@@ -105,8 +106,6 @@ def _cmd_train(args) -> int:
                                        max_iters=args.iters))
 
     if args.model:
-        from .checkpoint import load_checkpoint
-
         model, _, _ = load_checkpoint(args.model)
     else:
         model = init_two_stage_model(
@@ -122,15 +121,11 @@ def _cmd_train(args) -> int:
 
 
 def read_wav_channels(manifest_path) -> int:
-    from .simkit import read_manifest
-
     entries = read_manifest(manifest_path)
     return read_wav(entries[0].mix_path).channels
 
 
 def _cmd_enhance(args) -> int:
-    from .checkpoint import load_checkpoint
-
     model, _, _ = load_checkpoint(args.model)
     x = _read_checked(args.input, model.stft.sample_rate, model.p_channels)
     out = enhance(x, model)
@@ -153,8 +148,6 @@ def _cmd_baseline(args) -> int:
     cfg = _config(args, f"baseline {mode}")
     channels = None
     if args.model:  # filtersum, the one method that reads it
-        from .checkpoint import load_checkpoint
-
         model, _, _ = load_checkpoint(args.model)
         channels = model.p_channels
     # the learned filter-and-sum is built for the 16 kHz front end

@@ -5,19 +5,15 @@ with a hand-written backward. Convolutions operate on single samples laid
 out channel-first as (C, T, F) and have one fixed geometry, the CRN's:
 kernel (1, 3), stride (1, 2), padding (0, 1), and output padding (0, 1)
 on the transposed conv. Recurrent/dense layers take (T, D) or a
-band-batched (B, T, D). The init functions make float32 parameters.
+band-batched (B, T, D); the bidirectional LSTM runs its two directions
+through runtime.pair. The init functions make float32 parameters.
 """
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
-import glob
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 
+from .runtime import pair
 from .tensor import Tensor, _accum, as_tensor, make_node, records
 
 
@@ -258,69 +254,6 @@ def linear(x, w, b) -> Tensor:
 _CHUNK_ROWS = 8192
 
 
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
-    or None when this numpy has no such library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype, get.argtypes = ctypes.c_int, ()
-        put.restype, put.argtypes = None, (ctypes.c_int,)
-        return get, put
-    return None
-
-
-def _bw_worker():
-    """The one-thread pool that runs the bw side of each _pair: the bw
-    direction of each bidirectional layer, the upper half of WPE's bands
-    and the weights and output of each frame-mode MVDR block (baselines).
-    None, and both sides run on the calling thread, when BLAS threads
-    cannot be capped (they would compete with the pair) or when this
-    process may use fewer than 2 CPUs."""
-    if _BLAS_THREADS is None or len(os.sched_getaffinity(0)) < 2:
-        return None
-    return ThreadPoolExecutor(1, thread_name_prefix="pair-bw")
-
-
-def _renew_bw_worker():
-    # a forked child inherits the pool but not its thread, and would wait
-    # on its first job forever
-    global _BW_WORKER
-    _BW_WORKER = _bw_worker()
-
-
-_BLAS_THREADS = _openblas_threads()
-_BW_WORKER = _bw_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_renew_bw_worker)
-
-
-def _pair(fw, bw):
-    """(fw(), bw()), with bw on the worker while fw runs here and BLAS on one
-    thread until both are done; one after the other here without a worker.
-    Returns or raises only once both are done."""
-    if _BW_WORKER is None:
-        return fw(), bw()
-    get, put = _BLAS_THREADS
-    threads = get()
-    put(1)
-    try:
-        # the copied context carries the caller's np.errstate to the worker
-        job = _BW_WORKER.submit(contextvars.copy_context().run, bw)
-        try:
-            first = fw()
-        finally:
-            wait((job,))
-        return first, job.result()
-    finally:
-        put(threads)
-
-
 def _gate_constants(h_size: int, dtype):
     """Per-column (scale, shift) for _activate_gates over a (..., 4H) row
     in gate order i, f, g, o: (1/2, 1/2, 1, 1/2) and (1/2, 1/2, 0, 1/2)."""
@@ -456,7 +389,7 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
 
     Forward and backward each run fw on the calling thread while a
     one-thread worker runs bw, with BLAS held to one thread until both are
-    done (_pair). Without numpy's OpenBLAS thread controls, or with fewer
+    done (runtime.pair). Without numpy's OpenBLAS thread controls, or with fewer
     than 2 CPUs, both run here one after the other, through the same
     kernels and to the same bytes. Gradients are accumulated on the calling
     thread only. Under no_grad the forward keeps no per-step history;
@@ -479,7 +412,7 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     bsz, t_len, _ = x.shape
     out = np.empty((bsz, t_len, h_fw + h_bw), dtype=x.dtype)
     w_fw, w_bw = [p.data for p in fw], [p.data for p in bw]
-    cache_fw, cache_bw = _pair(
+    cache_fw, cache_bw = pair(
         lambda: _lstm_forward(x.data, *w_fw, out[:, :, :h_fw], keep),
         lambda: _lstm_forward(x.data[:, ::-1], *w_bw, out[:, ::-1, h_fw:], keep),
     )
@@ -489,7 +422,7 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
         # both halves run in the output's dtype: a grad of another dtype is
         # cast once, as a whole, and one of that dtype is used as it comes
         grad = grad.astype(out.dtype, copy=False)
-        (dx, *d_fw), (dx_bw, *d_bw) = _pair(
+        (dx, *d_fw), (dx_bw, *d_bw) = pair(
             lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw]),
             lambda: _lstm_backward(cache_bw, grad[:, ::-1, h_fw:]),
         )

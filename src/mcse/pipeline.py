@@ -20,13 +20,13 @@ estimates summed (filter_and_sum).
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import layers as L
+from . import runtime
 from .crn import CrnConfig, CrnParams, apply_crn_mask, crn_forward, init_crn_params
 from .dsp import (
     FFT_SIZE,
@@ -43,11 +43,6 @@ from .tensor import as_tensor, concat, no_grad
 
 SPATIAL_HIDDEN = 64
 SPATIAL_LAYERS = 2
-
-try:  # glibc keeps freed heap pages resident and reuses them in a run-dependent order
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # not glibc: nothing to trim
-    _malloc_trim = lambda pad: 0
 
 
 @dataclass(frozen=True)
@@ -235,5 +230,5 @@ def enhance(x: TimeSignal, model: TwoStageModel) -> TimeSignal:
     est = _inference(y, lambda: two_stage_tensors(y.re, y.im, model))
     out = istft(est, length=x.length)
     del y, est
-    _malloc_trim(0)  # untrimmed, the same calls peaked 30-70 MB apart from run to run
+    runtime.malloc_trim(0)  # untrimmed, the same calls peaked 30-70 MB apart from run to run
     return out

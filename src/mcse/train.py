@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import save_checkpoint
 from .dsp import Spectrogram, check_signal, stft
 from .loss import total_loss
 from .optim import AdamWState, TrainConfig, adamw_step, lr_schedule
@@ -108,8 +109,6 @@ def train(data: list, model: TwoStageModel, config: TrainConfig, out_dir=None) -
     if out_dir is None:
         rows = list(rows)
     else:
-        from .checkpoint import save_checkpoint
-
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         rows = write_loss_curve(out_dir / "loss_curve.csv", rows)

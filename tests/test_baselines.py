@@ -7,16 +7,13 @@ weights are checked against the defining constraint and a matched-filter
 closed form.
 """
 
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mcse.baselines as B
-from mcse import layers as L
 from mcse import simkit
 from mcse.dsp import Spectrogram, TimeSignal, istft, stft
 from mcse.metrics import stoi
@@ -392,44 +389,10 @@ def frame_mvdr_loop(y: Spectrogram, speech_mask, noise_mask) -> Spectrogram:
     return y.like(out.real[None].copy(), out.imag[None].copy())
 
 
-@pytest.fixture
-def threaded(monkeypatch):
-    """Run the worker's half on a worker thread, also where this process
-    may use only one CPU."""
-    if L._BLAS_THREADS is None:
-        pytest.skip("numpy's OpenBLAS thread controls are not available")
-    if L._BW_WORKER is not None:
-        yield
-        return
-    with ThreadPoolExecutor(1) as worker:
-        monkeypatch.setattr(L, "_BW_WORKER", worker)
-        yield
-
-
 def random_spec(p, t, bins, seed):
     r = np.random.default_rng(seed)
     z = r.standard_normal((p, t, bins)) + 1j * r.standard_normal((p, t, bins))
     return Spectrogram(z.real, z.imag, 2 * bins, 1, 2 * bins, 16000)
-
-
-def two_and_one_thread(monkeypatch, run):
-    """run() with the worker, then with none. BLAS is held at one thread
-    for both, as the worker's pair holds it, so only the threading
-    differs; the two-thread run switches threads as often as it can, so
-    that the two sides interleave finely."""
-    get, put = L._BLAS_THREADS
-    threads, interval = get(), sys.getswitchinterval()
-    put(1)
-    try:
-        sys.setswitchinterval(1e-6)
-        two = run()
-        sys.setswitchinterval(interval)
-        monkeypatch.setattr(L, "_BW_WORKER", None)
-        one = run()
-    finally:
-        sys.setswitchinterval(interval)
-        put(threads)
-    return two, one
 
 
 def same_bytes(a: Spectrogram, b: Spectrogram) -> bool:
@@ -451,23 +414,22 @@ def refuse_zero_band(monkeypatch, up_to):
 
 
 class TestWorkerSplit:
-    """WPE and frame-mode MVDR hand half their work to the layers._pair
+    """WPE and frame-mode MVDR hand half their work to the runtime.pair
     worker; that changes no byte of the output."""
 
     @pytest.mark.parametrize("bins", [7, 8])
-    def test_wpe_threaded_equals_one_thread(self, threaded, monkeypatch, bins):
+    def test_wpe_threaded_equals_one_thread(self, two_and_one_thread, bins):
         y = random_spec(3, 40, bins, seed=bins)
-        two, one = two_and_one_thread(monkeypatch, lambda: B.wpe(y))
+        two, one = two_and_one_thread(lambda: B.wpe(y))
         assert same_bytes(two, one)
 
     @pytest.mark.parametrize("frames", [1, B.MVDR_BLOCK, 2 * B.MVDR_BLOCK + 3])
     @pytest.mark.parametrize("bins", [7, 8])
-    def test_frame_mvdr_threaded_equals_one_thread_and_frame_loop(self, threaded, monkeypatch,
+    def test_frame_mvdr_threaded_equals_one_thread_and_frame_loop(self, two_and_one_thread,
                                                                   frames, bins):
         y = random_spec(4, frames, bins, seed=frames)
         sm = np.random.default_rng(bins).uniform(0.0, 1.0, (frames, bins))
-        two, one = two_and_one_thread(
-            monkeypatch, lambda: B.mask_mvdr(y, sm, 1.0 - sm, mode="frame"))
+        two, one = two_and_one_thread(lambda: B.mask_mvdr(y, sm, 1.0 - sm, mode="frame"))
         assert same_bytes(two, one)
         assert same_bytes(two, frame_mvdr_loop(y, sm, 1.0 - sm))
 

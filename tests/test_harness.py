@@ -7,6 +7,7 @@ defining formulas. Training-loop tests run a deliberately tiny model
 
 import json
 import logging
+import re
 import struct
 from dataclasses import fields
 from fractions import Fraction
@@ -28,6 +29,16 @@ from mcse.tensor import Tensor
 import mcse.train
 from mcse.train import CURVE_COLUMNS, Utterance, load_training_set, train, write_loss_curve
 from mcse.wavio import write_wav
+
+
+def rewrite_header(raw: bytes, edit) -> bytes:
+    """The checkpoint bytes raw with its JSON header passed through edit."""
+    start = len(MAGIC) + 4  # magic, then the version word
+    (hlen,) = struct.unpack("<I", raw[start:start + 4])
+    header = json.loads(raw[start + 4:start + 4 + hlen])
+    edit(header)
+    hdr = json.dumps(header, sort_keys=True).encode()
+    return raw[:start] + struct.pack("<I", len(hdr)) + hdr + raw[start + 4 + hlen:]
 
 
 def tiny_model(seed: int = 0):
@@ -238,14 +249,8 @@ class TestCheckpoint:
         1, no traceback, nothing written."""
         path = tmp_path / "fs.bin"
         save_checkpoint(path, tiny_model())
-        raw = path.read_bytes()
-        start = len(MAGIC) + 4  # magic, then the version word
-        (hlen,) = struct.unpack("<I", raw[start:start + 4])
-        header = json.loads(raw[start + 4:start + 4 + hlen])
-        header["kind"] = "filter_sum"
-        hdr = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(raw[:start] + struct.pack("<I", len(hdr)) + hdr
-                         + raw[start + 4 + hlen:])
+        path.write_bytes(rewrite_header(path.read_bytes(),
+                                        lambda header: header.update(kind="filter_sum")))
         with pytest.raises(ValueError, match="^unsupported model kind 'filter_sum'$"):
             load_checkpoint(path)
         for command in ("enhance --model {p} --in {d}/x.wav --out {d}/y.wav",
@@ -330,16 +335,28 @@ class TestCorruptCheckpoint:
     ], ids=["extra_key", "missing_key"])
     def test_header_without_exactly_the_v2_keys_is_refused(self, small_checkpoint, add, drop):
         raw, path = small_checkpoint
-        start = len(MAGIC) + 4  # magic, then the version word
-        (hlen,) = struct.unpack("<I", raw[start:start + 4])
-        header = json.loads(raw[start + 4:start + 4 + hlen])
-        header.update(add)
-        header.pop(drop, None)
-        hdr = json.dumps(header).encode()
-        path.write_bytes(raw[:start] + struct.pack("<I", len(hdr)) + hdr
-                         + raw[start + 4 + hlen:])
+        path.write_bytes(rewrite_header(raw, lambda header: (header.update(add),
+                                                             header.pop(drop, None))))
         with pytest.raises(ValueError, match="does not hold exactly the keys"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("p_channels", None, "an integer"), ("p_channels", True, "an integer"),
+        ("freq_bins", [1], "an integer"), ("width_scale", None, "a string"),
+        ("optimizer_step", "3", "an integer or null"),
+    ])
+    def test_header_value_of_wrong_type_is_refused_by_name(self, small_checkpoint, capsys,
+                                                           key, value, what):
+        """A header value of the wrong JSON type is refused by its key, by
+        load_checkpoint and by `mcse enhance` (exit 1, no traceback)."""
+        raw, path = small_checkpoint
+        path.write_bytes(rewrite_header(raw, lambda header: header.update({key: value})))
+        message = f"checkpoint header '{key}' must be {what}, not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+        assert main(["enhance", "--model", str(path), "--in", str(path.with_name("x.wav")),
+                     "--out", str(path.with_name("y.wav"))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCheckpointShapes:

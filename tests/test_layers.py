@@ -8,7 +8,6 @@ against central finite differences.
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,20 +362,6 @@ def lstm_triple(h_, d_, scale=1.0):
     return scale * r(4 * h_, d_), scale * r(4 * h_, h_), scale * r(4 * h_)
 
 
-@pytest.fixture
-def threaded(monkeypatch):
-    """Run the bidirectional op's bw direction on a worker thread, also
-    where this process may use only one CPU."""
-    if L._BLAS_THREADS is None:
-        pytest.skip("numpy's OpenBLAS thread controls are not available")
-    if L._BW_WORKER is not None:
-        yield
-        return
-    with ThreadPoolExecutor(1) as worker:
-        monkeypatch.setattr(L, "_BW_WORKER", worker)
-        yield
-
-
 class TestLstm:
     def test_forward_matches_step_oracle(self):
         b_, t_, d_, h_ = 3, 6, 4, 5
@@ -405,10 +390,9 @@ class TestLstm:
                                       for n in ("w_ih", "w_hh", "b")))[:, ::-1]
         np.testing.assert_allclose(out, np.concatenate([fw, bw], axis=-1), rtol=1e-10)
 
-    def test_threaded_and_sequential_paths_are_byte_equal(self, threaded, monkeypatch):
+    def test_threaded_and_sequential_paths_are_byte_equal(self, two_and_one_thread):
         """Both directions on two threads give the bytes of both on one,
-        forward and backward. BLAS is held at one thread for both runs, as
-        the threaded path holds it, so only the threading differs."""
+        forward and backward."""
         b_, t_, d_, h_ = 256, 37, 16, 64
         x = r(b_, t_, d_).astype(np.float32)
         ws = [w.astype(np.float32) for w in (*lstm_triple(h_, d_, 0.3), *lstm_triple(h_, d_, 0.3))]
@@ -420,15 +404,7 @@ class TestLstm:
             (out * Tensor(g)).sum().backward()
             return [out.data] + [t.grad for t in ts]
 
-        get, put = L._BLAS_THREADS
-        threads = get()
-        put(1)
-        try:
-            two = run()
-            monkeypatch.setattr(L, "_BW_WORKER", None)
-            one = run()
-        finally:
-            put(threads)
+        two, one = two_and_one_thread(run)
         for a, b in zip(two, one):
             assert a.dtype == b.dtype == np.float32
             assert a.tobytes() == b.tobytes()

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mcse import pipeline
+from mcse import runtime
 from mcse.crn import crn_forward
 from mcse.dsp import Spectrogram, TimeSignal
 from mcse.pipeline import (
@@ -169,7 +169,7 @@ class TestEnhance:
 
     def test_trims_the_heap_once_per_call(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(pipeline, "_malloc_trim", calls.append)
+        monkeypatch.setattr(runtime, "malloc_trim", calls.append)
         model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
         for n in (1, 2):
             enhance(TimeSignal(rng.standard_normal((2, 2000)), 16000), model)
