@@ -137,28 +137,21 @@ def _solve_loaded(r: np.ndarray, rhs: np.ndarray, band: int, eye: np.ndarray) ->
 @dataclass
 class CovarianceEstimate:
     """Running per-band speech/noise spatial covariances, (F, P, P) complex
-    Hermitian. mode 'block' accumulates whole utterances; mode 'frame'
-    applies an exponential forgetting update per frame."""
+    Hermitian: block() accumulates a whole utterance; empty() starts the
+    frame-recursive estimate that update() advances with exponential
+    forgetting."""
 
     speech: np.ndarray
     noise: np.ndarray
-    mode: str = "block"
     forgetting: float = MVDR_FORGETTING
 
     @classmethod
-    def empty(cls, f_bins: int, p: int, mode: str = "block",
-              forgetting: float = MVDR_FORGETTING) -> "CovarianceEstimate":
-        if mode not in ("block", "frame"):
-            raise ValueError(f"mode must be 'block' or 'frame', got {mode!r}")
-        if not 0.0 < forgetting < 1.0:
-            raise ValueError("forgetting factor must lie in (0, 1)")
+    def empty(cls, f_bins: int, p: int, forgetting: float = MVDR_FORGETTING) -> "CovarianceEstimate":
         eye = np.tile(np.eye(p, dtype=np.complex128)[None], (f_bins, 1, 1))
-        return cls(eye * 1e-8, eye * 1e-8, mode, forgetting)
+        return cls(eye * 1e-8, eye * 1e-8, forgetting)
 
     def update(self, y_frame: np.ndarray, speech_mask: np.ndarray, noise_mask: np.ndarray):
         """Frame-recursive update. y_frame: (F, P); masks: (F,) in [0, 1]."""
-        if self.mode != "frame":
-            raise ValueError("update() only applies in 'frame' mode")
         outer = y_frame[:, :, None] * y_frame[:, None, :].conj()
         lam = self.forgetting
         self.speech *= lam
@@ -177,7 +170,7 @@ class CovarianceEstimate:
         denom_n = np.maximum(noise_mask.sum(axis=0), 1e-10)[:, None, None]
         cs = np.einsum("ftp,ftq->fpq", ws * zf, zf.conj()) / denom_s
         cn = np.einsum("ftp,ftq->fpq", wn * zf, zf.conj()) / denom_n
-        return cls(cs, cn, "block")
+        return cls(cs, cn)
 
 
 def steering_from_covariance(speech_cov: np.ndarray) -> np.ndarray:
@@ -257,7 +250,7 @@ def mask_mvdr(
         w = _mvdr_weights(cov.noise, d, MVDR_LOADING)  # (F, P)
         out = np.einsum("fp,ptf->tf", w.conj(), z)
     elif mode == "frame":
-        cov = CovarianceEstimate.empty(f_bins, p, "frame", forgetting)
+        cov = CovarianceEstimate.empty(f_bins, p, forgetting)
         out = np.empty((t_len, f_bins), dtype=np.complex128)
         frames = z.transpose(1, 2, 0)  # (T, F, P)
         d = None

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .crn import ENCODER_DEPTH
 from .optim import AdamWState
 from .pipeline import TwoStageModel, init_two_stage_model
 
@@ -132,11 +133,25 @@ def load_checkpoint(path):
                          f"{sorted(HEADER_KEYS)}")
     if header["kind"] != KIND:
         raise ValueError(f"unsupported model kind {header['kind']!r}")
+
+    def refuse(key, what):
+        raise ValueError(f"checkpoint header {key!r} must be {what}, not {header[key]!r}")
+
     for key, (types, what) in HEADER_TYPES.items():
         if isinstance(header[key], bool) or not isinstance(header[key], types):
-            raise ValueError(f"checkpoint header {key!r} must be {what}, not {header[key]!r}")
-    model = init_two_stage_model(header["p_channels"], Fraction(header["width_scale"]),
-                                 header["freq_bins"], seed=_Layout(np.random.PCG64(0)))
+            refuse(key, what)
+    try:
+        width_scale = Fraction(header["width_scale"])
+    except (ValueError, ZeroDivisionError):
+        refuse("width_scale", "a fraction")
+    if header["freq_bins"] <= 0 or header["freq_bins"] % (1 << ENCODER_DEPTH):
+        refuse("freq_bins", f"a positive multiple of {1 << ENCODER_DEPTH}")
+    # the layout grows with p_channels, so it is held to the stored input layer first
+    enc0 = tensors.get("param.stage1.enc0.w", np.empty(0))
+    if enc0.ndim != 4 or 2 * header["p_channels"] != enc0.shape[1]:
+        refuse("p_channels", f"half the input channels of the stored stage1.enc0.w {enc0.shape}")
+    model = init_two_stage_model(header["p_channels"], width_scale, header["freq_bins"],
+                                 seed=_Layout(np.random.PCG64(0)))
 
     params = model.named_params()
     buffers = model.named_buffers()

@@ -14,7 +14,9 @@ to the input as a complex ratio mask (Stage I, filter-and-sum); Stage II
 takes it as the estimate itself.
 
 All channel counts scale by a rational width multiplier so the same
-topology runs desk-sized.
+topology runs desk-sized. Batchnorm takes its mode from the tape: it uses
+the sample's statistics when the tape records a block's parameters and
+the running ones otherwise, so no function here takes a mode flag.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import layers as L
-from .tensor import as_tensor, concat
+from .tensor import as_tensor, concat, records
 
 BASE_CHANNELS = (16, 32, 64, 128, 256, 256)
 KERNEL = (1, 3)  # layers.conv2d/deconv2d take only this kernel shape
@@ -130,32 +132,32 @@ def init_crn_params(config: CrnConfig, rng: np.random.Generator) -> CrnParams:
     return CrnParams(config, params, buffers)
 
 
-def _block(layer, x, p: CrnParams, name: str, training: bool):
+def _block(layer, x, p: CrnParams, name: str):
     """layer, then batchnorm and PReLU. layer is conv2d (F -> F/2) or
     deconv2d (F -> 2F), both with the fixed (1, 3) kernel, frequency
     stride 2 and padding 1 that layers.py defines.
 
-    In eval mode batchnorm is the fixed per-channel map (h - mean) * s +
-    beta with s = gamma / sqrt(var + eps), so it is folded into the layer:
-    one conv with weight w * s and bias (b - mean) * s + beta. The fold is
-    built from Tensor ops, so gradients reach w, b, gamma and beta through
-    it, and the running buffers are only read.
+    Batchnorm runs on the sample's own statistics, updating the running
+    buffers, exactly when the tape records the block's parameters.
+    Otherwise it is the fixed per-channel map (h - mean) * s + beta with
+    s = gamma / sqrt(var + eps), folded into the layer: one conv with
+    weight w * s and bias (b - mean) * s + beta, and the buffers are only
+    read.
     """
-    w, b = p.params[f"{name}.w"], p.params[f"{name}.b"]
-    gamma, beta = p.params[f"{name}.bn.gamma"], p.params[f"{name}.bn.beta"]
+    w, b, gamma, beta = (as_tensor(p.params[f"{name}.{k}"]) for k in ("w", "b", "bn.gamma", "bn.beta"))
     mean, var = p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"]
-    if training:
+    if records((w, b, gamma, beta)):
         h = L.batchnorm2d(layer(x, w, b), gamma, beta, mean, var)
     else:
         dtype = gamma.dtype
-        s = gamma * (1.0 / np.sqrt(var.astype(dtype) + L.BN_EPS))
+        s = gamma.data * (1.0 / np.sqrt(var.astype(dtype) + L.BN_EPS))
         # output channels are axis 0 of a conv2d kernel, axis 1 of a deconv2d one
         s_w = s.reshape((1, -1, 1, 1) if layer is L.deconv2d else (-1, 1, 1, 1))
-        h = layer(x, w * s_w, (b - mean.astype(dtype)) * s + beta)
+        h = layer(x, w.data * s_w, (b.data - mean.astype(dtype)) * s + beta.data)
     return L.prelu(h, p.params[f"{name}.prelu.a"])
 
 
-def crn_forward(x, p: CrnParams, training: bool = False):
+def crn_forward(x, p: CrnParams):
     """Run the CRN on x: Tensor or array (C_in, T, freq_bins).
 
     Returns the (re, im) pair of (c_out / 2, T, freq_bins) tensors from
@@ -174,7 +176,7 @@ def crn_forward(x, p: CrnParams, training: bool = False):
     skips = []
     h = x
     for i in range(ENCODER_DEPTH):
-        h = _block(L.conv2d, h, p, f"enc{i}", training)
+        h = _block(L.conv2d, h, p, f"enc{i}")
         skips.append(h)
 
     c6 = cfg.ladder[-1]
@@ -189,15 +191,15 @@ def crn_forward(x, p: CrnParams, training: bool = False):
         for i in range(ENCODER_DEPTH):
             if i < ENCODER_DEPTH - 1:
                 d = concat([d, skips[ENCODER_DEPTH - 1 - i]], axis=0)
-            d = _block(L.deconv2d, d, p, f"{branch}{i}", training)
+            d = _block(L.deconv2d, d, p, f"{branch}{i}")
         outs.append(d)
     return outs[0], outs[1]
 
 
-def apply_crn_mask(y_re, y_im, p: CrnParams, training: bool = False):
+def apply_crn_mask(y_re, y_im, p: CrnParams):
     """Run the CRN on the (P, T, F) planes y_re/y_im stacked on the
     channel axis, reals first, and apply its output to them as a complex
     ratio mask. Returns the masked (re, im) pair, each (P, T, F)."""
     y_re, y_im = as_tensor(y_re, np.float32), as_tensor(y_im, np.float32)
-    m_re, m_im = crn_forward(concat([y_re, y_im], axis=0), p, training=training)
+    m_re, m_im = crn_forward(concat([y_re, y_im], axis=0), p)
     return m_re * y_re - m_im * y_im, m_re * y_im + m_im * y_re

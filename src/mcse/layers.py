@@ -139,8 +139,8 @@ def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     """Per-channel normalization of a (C, T, F) sample by its own (T, F)
     statistics, as in training. Updates the running buffers in place
     (biased variance for the normalization, unbiased for the running
-    buffer). Eval mode has no op here: crn._block folds the running
-    buffers into the conv before it.
+    buffer). crn._block calls it only when the tape records the block's
+    parameters; otherwise it folds the running buffers into the conv.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 3:

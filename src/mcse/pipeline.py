@@ -62,22 +62,11 @@ class TwoStageModel:
     stft = StftSettings()  # the one front end every model shares
 
     def named_params(self) -> dict:
-        out = {}
-        for name, t in self.stage1.params.items():
-            out[f"stage1.{name}"] = t
-        for name, t in self.spatial.items():
-            out[f"spatial.{name}"] = t
-        for name, t in self.stage2.params.items():
-            out[f"stage2.{name}"] = t
-        return out
+        return {**self.stage_params("stage1"), **self.stage_params("stage2")}
 
     def named_buffers(self) -> dict:
-        out = {}
-        for name, b in self.stage1.buffers.items():
-            out[f"stage1.{name}"] = b
-        for name, b in self.stage2.buffers.items():
-            out[f"stage2.{name}"] = b
-        return out
+        return {f"{stage}.{name}": b for stage in ("stage1", "stage2")
+                for name, b in getattr(self, stage).buffers.items()}
 
     def stage_params(self, stage: str) -> dict:
         if stage == "stage1":
@@ -129,10 +118,10 @@ def _check_spec(model: TwoStageModel, y: Spectrogram):
         )
 
 
-def stage1_tensors(y_re, y_im, model: TwoStageModel, training: bool = False):
+def stage1_tensors(y_re, y_im, model: TwoStageModel):
     """y_re/y_im: (P, T, F) arrays or Tensors. Returns masked-estimate
     tensors (s1_re, s1_im), each (P, T, F)."""
-    return apply_crn_mask(y_re, y_im, model.stage1, training)
+    return apply_crn_mask(y_re, y_im, model.stage1)
 
 
 def spatial_tensors(s1_re, s1_im, model: TwoStageModel):
@@ -155,7 +144,7 @@ def spatial_tensors(s1_re, s1_im, model: TwoStageModel):
     return f_re, f_im
 
 
-def stage2_tensors(f_re, f_im, y0_re, y0_im, model: TwoStageModel, training: bool = False):
+def stage2_tensors(f_re, f_im, y0_re, y0_im, model: TwoStageModel):
     """Spatial-filter output (T, F) plus mixture reference channel (T, F),
     arrays or Tensors -> final estimate tensors (T, F) pair."""
     y0_re, y0_im = as_tensor(y0_re, np.float32), as_tensor(y0_im, np.float32)
@@ -167,15 +156,15 @@ def stage2_tensors(f_re, f_im, y0_re, y0_im, model: TwoStageModel, training: boo
         y0_im.reshape(1, t_len, f_bins),
     ]
     feat = concat(stackable, axis=0)  # reals first, then imaginaries
-    e_re, e_im = crn_forward(feat, model.stage2, training=training)
+    e_re, e_im = crn_forward(feat, model.stage2)
     return e_re[0], e_im[0]
 
 
-def two_stage_tensors(y_re, y_im, model: TwoStageModel, training: bool = False):
+def two_stage_tensors(y_re, y_im, model: TwoStageModel):
     y_re, y_im = as_tensor(y_re, np.float32), as_tensor(y_im, np.float32)
-    s_re, s_im = stage1_tensors(y_re, y_im, model, training)
+    s_re, s_im = stage1_tensors(y_re, y_im, model)
     f_re, f_im = spatial_tensors(s_re, s_im, model)
-    return stage2_tensors(f_re, f_im, y_re.data[0], y_im.data[0], model, training)
+    return stage2_tensors(f_re, f_im, y_re.data[0], y_im.data[0], model)
 
 
 # -- spectrogram-level public API ---------------------------------------------------

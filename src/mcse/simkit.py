@@ -302,31 +302,31 @@ def mix(
 # -- built-in synthetic sources -------------------------------------------------------
 
 
-def synth_speech(rng: np.random.Generator, n: int, fs: int = SAMPLE_RATE) -> TimeSignal:
+def synth_speech(rng: np.random.Generator, n: int) -> TimeSignal:
     """Speech-shaped synthetic source: a slowly wandering harmonic stack
     with a syllabic-rate amplitude envelope plus a soft noise floor."""
-    t = np.arange(n) / fs
+    t = np.arange(n) / SAMPLE_RATE
     f0 = rng.uniform(110.0, 200.0)
     vibrato = 1.0 + 0.02 * np.sin(2.0 * np.pi * rng.uniform(4.0, 7.0) * t)
-    phase = 2.0 * np.pi * np.cumsum(f0 * vibrato) / fs
+    phase = 2.0 * np.pi * np.cumsum(f0 * vibrato) / SAMPLE_RATE
     sig = np.zeros(n)
     for k in range(1, 21):
-        if k * f0 > 0.45 * fs:
+        if k * f0 > 0.45 * SAMPLE_RATE:
             break
         sig += (1.0 / k) * np.sin(k * phase + rng.uniform(0, 2 * np.pi))
     syllable = 0.55 + 0.45 * np.sin(2.0 * np.pi * rng.uniform(2.5, 4.5) * t + rng.uniform(0, 2 * np.pi))
     sig = sig * syllable + 0.02 * rng.standard_normal(n)
     sig /= np.max(np.abs(sig)) + 1e-12
-    return TimeSignal(0.3 * sig[None, :], fs)
+    return TimeSignal(0.3 * sig[None, :], SAMPLE_RATE)
 
 
 # taps of synth_noise's smoothing kernel, and so the fewest samples it can render
 NOISE_KERNEL = 17
 
 
-def synth_noise(rng: np.random.Generator, n: int, fs: int = SAMPLE_RATE) -> TimeSignal:
+def synth_noise(rng: np.random.Generator, n: int) -> TimeSignal:
     """Interferer: band-limited noise bursts over a low hum and a chirp."""
-    t = np.arange(n) / fs
+    t = np.arange(n) / SAMPLE_RATE
     base = rng.standard_normal(n)
     # crude band-limit via cumulative smoothing
     kernel = np.hanning(NOISE_KERNEL)
@@ -337,7 +337,7 @@ def synth_noise(rng: np.random.Generator, n: int, fs: int = SAMPLE_RATE) -> Time
     chirp = 0.4 * np.sin(2.0 * np.pi * (f_lo * t + 0.5 * (f_hi - f_lo) / t[-1] * t * t))
     sig = base * bursts + chirp + 0.1 * np.sin(2.0 * np.pi * 60.0 * t)
     sig /= np.max(np.abs(sig)) + 1e-12
-    return TimeSignal(0.3 * sig[None, :], fs)
+    return TimeSignal(0.3 * sig[None, :], SAMPLE_RATE)
 
 
 # -- dataset construction ---------------------------------------------------------------

@@ -26,6 +26,7 @@ from .pipeline import (
     spatial_tensors,
     stage1_tensors,
     stage2_tensors,
+    two_stage_tensors,
 )
 from .simkit import read_manifest
 from .tensor import Tensor, as_tensor, no_grad
@@ -71,26 +72,22 @@ def _utterance_loss(utt: Utterance, model: TwoStageModel, stage: str,
                     cache: dict | None = None) -> Tensor:
     mix = utt.mix
     if stage == "stage1":
-        est = stage1_tensors(mix.re, mix.im, model, training=True)
+        est = stage1_tensors(mix.re, mix.im, model)
         tgt = (as_tensor(utt.revclean.re, np.float32), as_tensor(utt.revclean.im, np.float32))
         return total_loss(est, tgt)
 
-    if stage == "stage2":
-        # Stage I is frozen; its output per utterance is a constant
-        if cache is not None and utt.uid in cache:
-            s_re, s_im = cache[utt.uid]
-        else:
-            with no_grad():
-                s1 = stage1_tensors(mix.re, mix.im, model, training=False)
-            s_re, s_im = s1[0].data, s1[1].data
-            if cache is not None:
-                cache[utt.uid] = (s_re, s_im)
-    elif stage == "joint":
-        s_re, s_im = stage1_tensors(mix.re, mix.im, model, training=True)
+    if stage == "joint":
+        est = two_stage_tensors(mix.re, mix.im, model)
     else:
-        raise ValueError(f"unknown stage {stage!r}")
-    f_re, f_im = spatial_tensors(s_re, s_im, model)
-    est = stage2_tensors(f_re, f_im, mix.re[0], mix.im[0], model, training=True)
+        # Stage I is frozen: its output per utterance is a constant, run
+        # once under no_grad and so with batchnorm in eval mode
+        cache = {} if cache is None else cache
+        if utt.uid not in cache:
+            with no_grad():
+                s1 = stage1_tensors(mix.re, mix.im, model)
+            cache[utt.uid] = (s1[0].data, s1[1].data)
+        f_re, f_im = spatial_tensors(*cache[utt.uid], model)
+        est = stage2_tensors(f_re, f_im, mix.re[0], mix.im[0], model)
     tgt = (as_tensor(utt.dry.re[0], np.float32), as_tensor(utt.dry.im[0], np.float32))
     return total_loss(est, tgt)
 

@@ -9,7 +9,7 @@ order.
 from mcse import crn, layers
 
 
-def trace_crn(monkeypatch, x, params, training=False):
+def trace_crn(monkeypatch, x, params):
     """Run crn_forward on x. Returns (trace, (re, im)) where trace is the
     list of (tag, shape) pairs: "input", every conv/deconv block by its
     parameter prefix ("enc0", "dec_re0", ...), then "lstm_in"/"lstm_out"
@@ -17,8 +17,8 @@ def trace_crn(monkeypatch, x, params, training=False):
     trace = [("input", tuple(x.shape))]
     block, lstm_seq = crn._block, layers.lstm_seq
 
-    def traced_block(layer, h, p, name, *rest):
-        out = block(layer, h, p, name, *rest)
+    def traced_block(layer, h, p, name):
+        out = block(layer, h, p, name)
         trace.append((name, tuple(out.shape)))
         return out
 
@@ -30,4 +30,4 @@ def trace_crn(monkeypatch, x, params, training=False):
 
     monkeypatch.setattr(crn, "_block", traced_block)
     monkeypatch.setattr(layers, "lstm_seq", traced_lstm_seq)
-    return trace, crn.crn_forward(x, params, training=training)
+    return trace, crn.crn_forward(x, params)

@@ -129,10 +129,9 @@ def test_c2_finite_difference_gradients():
     t_im = 0.3 * r.standard_normal((6, 64))
 
     def loss_value() -> float:
-        s_re, s_im = stage1_tensors(Tensor(y_re), Tensor(y_im), model, training=True)
+        s_re, s_im = stage1_tensors(Tensor(y_re), Tensor(y_im), model)
         f_re, f_im = spatial_tensors(s_re, s_im, model)
-        e = stage2_tensors(f_re, f_im, Tensor(y_re[0]), Tensor(y_im[0]), model,
-                           training=True)
+        e = stage2_tensors(f_re, f_im, Tensor(y_re[0]), Tensor(y_im[0]), model)
         return total_loss(e, (t_re, t_im))
 
     loss = loss_value()

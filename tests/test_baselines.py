@@ -246,7 +246,7 @@ class TestMaskMvdr:
         assert e_out < 0.5 * e_in
 
     def test_covariances_stay_hermitian_in_frame_mode(self):
-        cov = B.CovarianceEstimate.empty(4, 3, "frame", 0.9)
+        cov = B.CovarianceEstimate.empty(4, 3, 0.9)
         r = np.random.default_rng(0)
         for _ in range(10):
             frame = r.standard_normal((4, 3)) + 1j * r.standard_normal((4, 3))
@@ -284,7 +284,7 @@ def frame_mvdr_eigh(y: Spectrogram, speech_mask, noise_mask) -> Spectrogram:
     reference the tracked steering is held to."""
     z = y.to_complex()
     p, t_len, f_bins = z.shape
-    cov = B.CovarianceEstimate.empty(f_bins, p, "frame")
+    cov = B.CovarianceEstimate.empty(f_bins, p)
     out = np.empty((t_len, f_bins), dtype=np.complex128)
     for t in range(t_len):
         cov.update(z[:, t, :].T, speech_mask[t], noise_mask[t])
@@ -299,7 +299,7 @@ class TestSteeringTracker:
         f, p = 5, 6
         r = np.random.default_rng(3)
         a = r.standard_normal((f, p)) + 1j * r.standard_normal((f, p))
-        cov = B.CovarianceEstimate.empty(f, p, "frame", 0.9)
+        cov = B.CovarianceEstimate.empty(f, p, 0.9)
         # start far from the answer: a random unit vector per band
         d = r.standard_normal((f, p)) + 1j * r.standard_normal((f, p))
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
@@ -341,7 +341,7 @@ class TestSteeringTracker:
         sm = r.uniform(0.2, 0.8, (t, f))
         sm[:, 0] = 0.0
         spec = Spectrogram(z.real, z.imag, 8, 4, 8, 16000)
-        cov = B.CovarianceEstimate.empty(f, p, "frame", 0.5)
+        cov = B.CovarianceEstimate.empty(f, p, 0.5)
         for k in range(t):
             cov.update(z[:, k, :].T, sm[k], 1.0 - sm[k])
         assert np.all(cov.speech[0] == 0.0)
@@ -376,7 +376,7 @@ def frame_mvdr_loop(y: Spectrogram, speech_mask, noise_mask) -> Spectrogram:
     byte for byte."""
     z = y.to_complex()
     p, t_len, f_bins = z.shape
-    cov = B.CovarianceEstimate.empty(f_bins, p, "frame")
+    cov = B.CovarianceEstimate.empty(f_bins, p)
     out = np.empty((t_len, f_bins), dtype=np.complex128)
     d = None
     for t in range(t_len):

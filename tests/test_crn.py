@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from crn_trace import trace_crn
-from gradcheck import check_grads, to_float64
+from gradcheck import to_float64
 from mcse import layers as L
 from mcse.crn import BASE_CHANNELS, CrnConfig, CrnParams, _block, crn_forward, init_crn_params
+from mcse.tensor import no_grad
 
 rng = np.random.default_rng(3)
 
@@ -119,7 +120,8 @@ class TestForward:
         # zero biases, zero beta, fresh running stats: zeros propagate
         # through conv, batchnorm, prelu, and the zero-state LSTM
         cfg, params = make(c_in=2, c_out=2)
-        re, im = crn_forward(np.zeros((2, 4, 64), dtype=np.float32), params, training=False)
+        with no_grad():
+            re, im = crn_forward(np.zeros((2, 4, 64), dtype=np.float32), params)
         assert np.all(re.data == 0.0)
         assert np.all(im.data == 0.0)
 
@@ -129,8 +131,9 @@ class TestForward:
         for k in p1.params:
             np.testing.assert_array_equal(p1.params[k].data, p2.params[k].data)
         x = rng.standard_normal((4, 3, 64)).astype(np.float32)
-        r1, i1 = crn_forward(x, p1, training=False)
-        r2, i2 = crn_forward(x, p2, training=False)
+        with no_grad():
+            r1, i1 = crn_forward(x, p1)
+            r2, i2 = crn_forward(x, p2)
         np.testing.assert_array_equal(r1.data, r2.data)
         np.testing.assert_array_equal(i1.data, i2.data)
 
@@ -145,19 +148,15 @@ class TestForward:
         _, params = make(c_in=2, c_out=2)
         x = rng.standard_normal((2, 3, 64)).astype(np.float32)
 
-        def grads(training):
-            for t in params.params.values():
-                t.zero_grad()
-            re, im = crn_forward(x, params, training=training)
-            ((re * re).sum() + (im * im).sum()).backward()
-            return {k: t.grad for k, t in params.params.items()}
-
-        g = grads(training=True)
+        re, im = crn_forward(x, params)
+        ((re * re).sum() + (im * im).sum()).backward()
+        g = {k: t.grad for k, t in params.params.items()}
         assert [k for k, v in g.items() if v is None] == []
-        # In train mode each conv/deconv bias feeds a batchnorm that
-        # subtracts the per-channel mean, so its true gradient is zero and
-        # only rounding may show. Every weight still carries signal; prelu
-        # slopes may see no negative inputs on a tiny example.
+        # Recorded, each conv/deconv bias feeds a batchnorm on the sample's
+        # own statistics that subtracts the per-channel mean, so its true
+        # gradient is zero and only rounding may show. Every weight still
+        # carries signal; prelu slopes may see no negative inputs on a tiny
+        # example.
         w_max = max(np.abs(v).max() for k, v in g.items() if k.endswith(".w"))
         block_b = {k: np.abs(v).max() for k, v in g.items()
                    if k.endswith(".b") and not k.startswith("lstm")}
@@ -167,11 +166,6 @@ class TestForward:
             if k not in block_b and not k.endswith("prelu.a") and np.all(v == 0.0)
         ]
         assert dead == []
-
-        # eval-mode batchnorm is a fixed affine map, so every parameter,
-        # the block biases included, must see a nonzero gradient
-        g = grads(training=False)
-        assert [k for k, v in g.items() if v is None or np.all(v == 0.0)] == []
 
 
 def eval_batchnorm(h, gamma, beta, mean, var):
@@ -189,7 +183,8 @@ def block_params(name, w, b, gamma, beta, slope, mean, var):
 
 
 class TestEvalBlockFold:
-    """In eval mode crn._block folds batchnorm into its conv or deconv."""
+    """When the tape does not record its parameters, crn._block folds
+    batchnorm into its conv or deconv."""
 
     def test_eval_mode_uses_buffers_and_leaves_them_alone(self):
         frng = np.random.default_rng(11)
@@ -199,7 +194,7 @@ class TestEvalBlockFold:
         gamma, beta = np.array([2.0, 1.0]), np.array([0.5, 0.0])
         # slope 1 makes the PReLU the identity, so the block is conv + batchnorm
         p = block_params("enc0", w, b, gamma, beta, np.ones(2), rm, rv)
-        out = _block(L.conv2d, x, p, "enc0", False).data
+        out = _block(L.conv2d, x, p, "enc0").data
         want = eval_batchnorm(L.conv2d(x, w, b).data, gamma, beta, rm, rv)
         np.testing.assert_allclose(out, want, rtol=1e-10)
         np.testing.assert_allclose(rm, [1.0, -1.0])
@@ -227,7 +222,8 @@ class TestEvalBlockFold:
                    for i, c in enumerate(cfg.decoder_in_channels())]
         for layer, name, c, f in blocks:
             x = frng.standard_normal((c, t_len, f))
-            got = _block(layer, x, p, name, False).data
+            with no_grad():  # to_float64 leaves the parameters recorded
+                got = _block(layer, x, p, name).data
             pr = {k[len(name) + 1:]: p.params[k].data for k in p.params if k.startswith(name + ".")}
             h = eval_batchnorm(layer(x, pr["w"], pr["b"]).data, pr["bn.gamma"], pr["bn.beta"],
                                p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"])
@@ -236,26 +232,6 @@ class TestEvalBlockFold:
                                        err_msg=name)
         for k, v in kept.items():
             np.testing.assert_array_equal(p.buffers[k], v, err_msg=k)
-
-    def test_grad_eval_mode(self):
-        frng = np.random.default_rng(13)
-        rm = frng.standard_normal(2)
-        rv = np.abs(frng.standard_normal(2)) + 0.5
-        kept = rm.copy(), rv.copy()
-        slope = np.array([0.25, -0.5])
-        for layer, x, w in ((L.conv2d, frng.standard_normal((3, 3, 4)),
-                             frng.standard_normal((2, 3, 1, 3))),
-                            (L.deconv2d, frng.standard_normal((3, 3, 4)),
-                             frng.standard_normal((3, 2, 1, 3)))):
-
-            def loss(x, w, b, g, be, a):
-                p = block_params("blk", w, b, g, be, a, rm, rv)
-                return (_block(layer, x, p, "blk", False) ** 2).sum()
-
-            check_grads(loss, [x, w, frng.standard_normal(2), 1.0 + 0.1 * frng.standard_normal(2),
-                               frng.standard_normal(2), slope])
-        np.testing.assert_array_equal(rm, kept[0])
-        np.testing.assert_array_equal(rv, kept[1])
 
 
 class TestBaseChannels:

@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from mcse.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mcse.cli import main
 from mcse.config import KEYS, ConfigError, load_config, parse_config_text
+from mcse.crn import CrnParams, crn_forward
 from mcse.dsp import TimeSignal, istft, stft
 from mcse.optim import AdamWState, TrainConfig, adamw_step, lr_schedule
 from mcse.pipeline import enhance, filter_and_sum, init_two_stage_model
 from mcse.simkit import DatasetConfig
-from mcse.tensor import Tensor
+from mcse.tensor import Tensor, no_grad
 import mcse.train
 from mcse.train import CURVE_COLUMNS, Utterance, load_training_set, train, write_loss_curve
 from mcse.wavio import write_wav
@@ -343,12 +344,16 @@ class TestCorruptCheckpoint:
     @pytest.mark.parametrize("key, value, what", [
         ("p_channels", None, "an integer"), ("p_channels", True, "an integer"),
         ("freq_bins", [1], "an integer"), ("width_scale", None, "a string"),
-        ("optimizer_step", "3", "an integer or null"),
+        ("optimizer_step", "3", "an integer or null"), ("width_scale", "1/0", "a fraction"),
+        ("freq_bins", 0, "a positive multiple of 64"),
+        ("freq_bins", -64, "a positive multiple of 64"),
+        ("p_channels", 10**9, "half the input channels of the stored stage1.enc0.w (1, 2, 1, 3)"),
     ])
     def test_header_value_of_wrong_type_is_refused_by_name(self, small_checkpoint, capsys,
                                                            key, value, what):
-        """A header value of the wrong JSON type is refused by its key, by
-        load_checkpoint and by `mcse enhance` (exit 1, no traceback)."""
+        """A header value of the wrong JSON type or out of range is refused
+        by its key, by load_checkpoint and by `mcse enhance` (exit 1, no
+        traceback), before the model layout is built."""
         raw, path = small_checkpoint
         path.write_bytes(rewrite_header(raw, lambda header: header.update({key: value})))
         message = f"checkpoint header '{key}' must be {what}, not {value!r}"
@@ -413,6 +418,34 @@ class TestTrainLoop:
         params = model.stage_params(stage)
         assert {name: p.grad.dtype for name, p in params.items()} == {
             name: np.dtype(np.float32) for name in params}
+
+    def test_batchnorm_mode_follows_the_tape(self):
+        """A CRN forward the tape records normalizes by the sample's own
+        statistics and moves the running buffers. Under no_grad, or with
+        its parameters as constants, it folds the buffers in and leaves
+        them byte-unchanged, so stage-2 training leaves Stage I's alone."""
+        model = tiny_model(seed=2)
+        data = tiny_data(model)
+        feat = np.concatenate([data[0].mix.re, data[0].mix.im]).astype(np.float32)
+        buffers = model.stage1.buffers
+
+        def unchanged(before):
+            return all(buffers[k].tobytes() == v.tobytes() for k, v in before.items())
+
+        before = {k: b.copy() for k, b in buffers.items()}
+        with no_grad():
+            folded, _ = crn_forward(feat, model.stage1)
+        assert unchanged(before)
+        constants = {k: Tensor(t.data) for k, t in model.stage1.params.items()}
+        fixed, _ = crn_forward(feat, CrnParams(model.stage1.config, constants, buffers))
+        assert unchanged(before) and fixed.data.tobytes() == folded.data.tobytes()
+        recorded, _ = crn_forward(feat, model.stage1)
+        assert not any(np.array_equal(buffers[k], v) for k, v in before.items())
+        assert not np.allclose(recorded.data, folded.data)
+
+        before = {k: b.copy() for k, b in buffers.items()}
+        train(data, model, TrainConfig(batch_size=1, max_iters=2, stage="stage2", seed=0))
+        assert unchanged(before)
 
     def test_empty_data_raises(self):
         with pytest.raises(ValueError):

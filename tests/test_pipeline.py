@@ -53,7 +53,7 @@ class TestStageOne:
         y = toy_spec()
         with no_grad():
             feat = np.concatenate([y.re, y.im], axis=0).astype(np.float32)
-            m_re, m_im = crn_forward(feat, model.stage1, training=False)
+            m_re, m_im = crn_forward(feat, model.stage1)
         mask = m_re.data + 1j * m_im.data
         want = y.to_complex() * mask
 
@@ -126,7 +126,7 @@ class TestStageTwo:
         with no_grad():
             e_re, e_im = stage2_tensors(Tensor(f_re), Tensor(f_im), y0_re, y0_im, model)
             feat = np.stack([f_re, y0_re, f_im, y0_im], axis=0)
-            w_re, w_im = crn_forward(feat, model.stage2, training=False)
+            w_re, w_im = crn_forward(feat, model.stage2)
         np.testing.assert_allclose(e_re.data, w_re.data[0], rtol=1e-6)
         np.testing.assert_allclose(e_im.data, w_im.data[0], rtol=1e-6)
 
