@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crn import ENCODER_DEPTH
+from .crn import FREQ_BINS_RULE, freq_bins_ok
 from .optim import AdamWState
 from .pipeline import TwoStageModel, init_two_stage_model
 
@@ -144,8 +144,8 @@ def load_checkpoint(path):
         width_scale = Fraction(header["width_scale"])
     except (ValueError, ZeroDivisionError):
         refuse("width_scale", "a fraction")
-    if header["freq_bins"] <= 0 or header["freq_bins"] % (1 << ENCODER_DEPTH):
-        refuse("freq_bins", f"a positive multiple of {1 << ENCODER_DEPTH}")
+    if not freq_bins_ok(header["freq_bins"]):
+        refuse("freq_bins", FREQ_BINS_RULE)
     # the layout grows with p_channels, so it is held to the stored input layer first
     enc0 = tensors.get("param.stage1.enc0.w", np.empty(0))
     if enc0.ndim != 4 or 2 * header["p_channels"] != enc0.shape[1]:

@@ -186,13 +186,11 @@ def _cmd_baseline(args) -> int:
             mode=cfg.get("mvdr_mode", "block"),
             forgetting=cfg.get("mvdr_forgetting", B.MVDR_FORGETTING),
         )
-    elif args.method == "filtersum":
+    else:  # filtersum, the last of argparse's choices
         if not args.model:
             model = init_two_stage_model(
                 y.channels, width_scale=cfg.get("width_scale", 1), seed=args.seed or 0)
         out_spec = filter_and_sum(y, model)
-    else:  # unreachable behind argparse choices
-        return 2
 
     out = istft(out_spec, length=x.length)
     write_wav(args.out, out)

@@ -3,11 +3,12 @@
 Encoder: six conv blocks (conv + batchnorm + PReLU), kernel (1, 3),
 stride (1, 2), so only the frequency axis is downsampled: 256 -> 128 ->
 64 -> 32 -> 16 -> 8 -> 4 at the default width. The bottleneck flattens
-(C6, T, F_b) to a (T, C6*F_b) sequence for a 2-layer bidirectional LSTM
-whose output width equals its input width, then reshapes back. Two
-mirrored deconv decoders (one for the real plane, one for the imaginary)
-consume skip connections from the encoder, concatenated on the channel
-axis; the last block takes no skip and restores the full frequency axis.
+(C6, T, F_b) to a batch of one (T, C6*F_b) sequence for a 2-layer
+bidirectional LSTM whose output width equals its input width, then
+reshapes back. Two mirrored deconv decoders (one for the real plane, one
+for the imaginary) consume skip connections from the encoder,
+concatenated on the channel axis; the last block takes no skip and
+restores the full frequency axis.
 
 The output is a mask or an estimate only by use: apply_crn_mask applies it
 to the input as a complex ratio mask (Stage I, filter-and-sum); Stage II
@@ -34,6 +35,13 @@ KERNEL = (1, 3)  # layers.conv2d/deconv2d take only this kernel shape
 LSTM_LAYERS = 2
 ENCODER_DEPTH = 6
 DECODERS = ("dec_re", "dec_im")
+# the encoder halves the frequency axis ENCODER_DEPTH times
+FREQ_BINS_RULE = f"a positive multiple of {1 << ENCODER_DEPTH}"
+
+
+def freq_bins_ok(freq_bins: int) -> bool:
+    """Whether freq_bins is FREQ_BINS_RULE."""
+    return freq_bins > 0 and freq_bins % (1 << ENCODER_DEPTH) == 0
 
 
 @dataclass
@@ -49,8 +57,8 @@ class CrnConfig:
             raise ValueError("channel counts must be positive")
         if self.c_out % 2 != 0:
             raise ValueError("c_out is the total over both decoder branches and must be even")
-        if self.freq_bins % (1 << ENCODER_DEPTH) != 0:
-            raise ValueError(f"freq_bins must be divisible by {1 << ENCODER_DEPTH}")
+        if not freq_bins_ok(self.freq_bins):
+            raise ValueError(f"freq_bins must be {FREQ_BINS_RULE}, got {self.freq_bins!r}")
         for base in BASE_CHANNELS:
             scaled = base * self.width_scale
             if scaled.denominator != 1 or scaled <= 0:
@@ -181,8 +189,8 @@ def crn_forward(x, p: CrnParams):
 
     c6 = cfg.ladder[-1]
     fb = cfg.f_bottleneck
-    seq = h.transpose(1, 0, 2).reshape(t_len, c6 * fb)
-    seq = L.lstm_seq(seq, p.params, cfg.lstm_hidden, LSTM_LAYERS)
+    seq = h.transpose(1, 0, 2).reshape(1, t_len, c6 * fb)
+    seq = L.lstm_seq(seq, p.params, LSTM_LAYERS)
     h = seq.reshape(t_len, c6, fb).transpose(1, 0, 2)
 
     outs = []

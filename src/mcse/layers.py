@@ -4,9 +4,11 @@ Each layer is a function of a Tensor input plus explicit parameter Tensors,
 with a hand-written backward. Convolutions operate on single samples laid
 out channel-first as (C, T, F) and have one fixed geometry, the CRN's:
 kernel (1, 3), stride (1, 2), padding (0, 1), and output padding (0, 1)
-on the transposed conv. Recurrent/dense layers take (T, D) or a
-band-batched (B, T, D); the bidirectional LSTM runs its two directions
-through runtime.pair. The init functions make float32 parameters.
+on the transposed conv. Dense layers and layernorm act on the last axis
+of (..., D). The bidirectional LSTM takes a batch (B, T, D): the spatial
+filter's frequency bands, or the CRN's bottleneck as a batch of one. It
+runs its two directions through runtime.pair. The init functions make
+float32 parameters.
 """
 
 from __future__ import annotations
@@ -450,18 +452,12 @@ def init_lstm_params(rng: np.random.Generator, input_size: int, hidden_size: int
     return params
 
 
-def lstm_seq(x, params: dict, hidden_size: int, layers: int) -> Tensor:
-    """Run a stacked bidirectional LSTM over x: (T, D) or (B, T, D).
+def lstm_seq(x, params: dict, layers: int) -> Tensor:
+    """Run a stacked bidirectional LSTM over x: (B, T, D).
 
-    Returns (T, 2H) or (B, T, 2H), forward features first. Parameters are
-    looked up by the names produced by init_lstm_params.
+    Returns (B, T, 2H), forward features first. Parameters are looked up
+    by the names produced by init_lstm_params.
     """
-    x = as_tensor(x)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape((1,) + tuple(x.shape))
-    if x.ndim != 3:
-        raise ValueError(f"lstm_seq expects (T,D) or (B,T,D), got {x.shape}")
     out = x
     for layer in range(layers):
         fw, bw = (
@@ -469,6 +465,4 @@ def lstm_seq(x, params: dict, hidden_size: int, layers: int) -> Tensor:
             for dr in ("fw", "bw")
         )
         out = lstm_cell_seq(out, fw, bw)
-    if squeeze:
-        out = out.reshape(tuple(out.shape[1:]))
     return out

@@ -137,7 +137,7 @@ def spatial_tensors(s1_re, s1_im, model: TwoStageModel):
     xi = as_tensor(s1_im, np.float32).transpose(2, 1, 0)
     x = concat([xr, xi], axis=2)
     x = L.layernorm(x, p["ln.gamma"], p["ln.beta"])
-    h = L.lstm_seq(x, p, SPATIAL_HIDDEN, SPATIAL_LAYERS)
+    h = L.lstm_seq(x, p, SPATIAL_LAYERS)
     out = L.linear(h, p["fc.w"], p["fc.b"])  # (F, T, 2)
     f_re = out[:, :, 0].transpose(1, 0)
     f_im = out[:, :, 1].transpose(1, 0)

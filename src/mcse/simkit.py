@@ -1,12 +1,14 @@
 """Shoebox room simulation and synthetic dataset construction.
 
-Rooms are rectangular with per-wall absorption. Impulse responses come
-from the image-source method: mirror sources are enumerated up to a
-reflection order, each contributing an attenuated, fractionally delayed
-pulse (windowed-sinc interpolation) at distance/c seconds. Receivers are
-two tetrahedral 4-microphone arrays. Mixtures are speech and noise each
-convolved with their own RIR set, the noise scaled to hit a target SNR on
-the reference channel.
+Rooms are rectangular, with one absorption for all six walls. Impulse
+responses come from the image-source method: mirror sources are
+enumerated up to a reflection order, each contributing an attenuated,
+fractionally delayed pulse (windowed-sinc interpolation) at distance/c
+seconds. Receivers are two tetrahedral 4-microphone arrays in the middle
+of the room. Everything is rendered at the front end's rate,
+dsp.SAMPLE_RATE. Mixtures are speech and noise each convolved with their
+own RIR set, the noise scaled to hit a target SNR on the reference
+channel.
 
 Datasets are rendered deterministically from a seed; every utterance gets
 its own child generator, so entry k does not depend on how many entries
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import SAMPLE_RATE, TimeSignal
+from .dsp import SAMPLE_RATE, TimeSignal, check_signal
 from .wavio import write_wav
 
 SPEED_OF_SOUND = 343.0
@@ -45,28 +47,28 @@ _TETRA = np.array(
 @dataclass
 class SceneSpec:
     room: tuple = DEFAULT_ROOM
-    absorption: tuple | float = 0.3  # scalar or per wall (x0, x1, y0, y1, z0, z1)
+    absorption: float = 0.3  # of every wall
     source_position: tuple = (2.0, 3.0, 1.5)
     noise_position: tuple = (4.5, 1.5, 1.5)
     snr_db: float = 5.0
     max_image_order: int = 6
-    sample_rate: int = SAMPLE_RATE
-    array_center: tuple | None = None  # midpoint between the two arrays
 
     def __post_init__(self):
         if len(self.room) != 3 or any(d <= 0 for d in self.room):
             raise ValueError("room dimensions must be three positive lengths")
-        self.absorption = _wall_absorption(self.absorption)
-        _check_rate_and_order(self.sample_rate, self.max_image_order)
-        if self.array_center is None:
-            self.array_center = (self.room[0] / 2.0, self.room[1] / 2.0, ARRAY_HEIGHT)
+        self.absorption = float(self.absorption)
+        if not 0.0 <= self.absorption <= 1.0:
+            raise ValueError("absorption must lie in [0, 1]")
+        order = self.max_image_order
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+            raise ValueError(f"max_image_order must be a nonnegative integer, got {order!r}")
         for name, pos in (("source", self.source_position), ("noise", self.noise_position)):
             _check_inside(pos, self.room, name)
 
     def mic_positions(self) -> np.ndarray:
         """(8, 3) microphone coordinates: two tetrahedral arrays whose
-        centers straddle array_center along x, ARRAY_SPACING apart."""
-        cx, cy, cz = self.array_center
+        centers straddle _array_center along x, ARRAY_SPACING apart."""
+        cx, cy, cz = _array_center(self.room)
         half = ARRAY_SPACING / 2.0
         mics = []
         for off in (-half, half):
@@ -79,35 +81,21 @@ class SceneSpec:
         return out
 
     def scene_hash(self) -> str:
-        # the fixed array geometry stays in the payload, so hashes match older manifests
+        # the payload keeps the six wall absorptions, the rate and the array
+        # geometry that scenes once set, so hashes match older manifests
         payload = repr(
             (
-                tuple(self.room), tuple(self.absorption), tuple(self.source_position),
+                tuple(self.room), (self.absorption,) * 6, tuple(self.source_position),
                 tuple(self.noise_position), float(self.snr_db), int(self.max_image_order),
-                int(self.sample_rate), tuple(self.array_center), ARRAY_RADIUS, ARRAY_SPACING,
+                SAMPLE_RATE, _array_center(self.room), ARRAY_RADIUS, ARRAY_SPACING,
             )
         ).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _wall_absorption(a) -> tuple:
-    if np.isscalar(a):
-        vals = (float(a),) * 6
-    else:
-        vals = tuple(float(v) for v in a)
-        if len(vals) != 6:
-            raise ValueError("absorption must be a scalar or 6 per-wall values")
-    if any(not 0.0 <= v <= 1.0 for v in vals):
-        raise ValueError("absorption must lie in [0, 1]")
-    return vals
-
-
-def _check_rate_and_order(sample_rate, max_image_order):
-    """Reject a rate or reflection order that would render a wrong or empty RIR."""
-    for name, value, low, kind in (("sample_rate", sample_rate, 1, "positive"),
-                                   ("max_image_order", max_image_order, 0, "nonnegative")):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+def _array_center(room) -> tuple:
+    """Midpoint between the two arrays: over the middle of the floor, ARRAY_HEIGHT up."""
+    return (room[0] / 2.0, room[1] / 2.0, ARRAY_HEIGHT)
 
 
 def _check_inside(pos, room, name):
@@ -129,60 +117,35 @@ def candidate_positions(room=DEFAULT_ROOM) -> np.ndarray:
     return out
 
 
-@dataclass
-class RoomImpulseResponse:
-    taps: np.ndarray  # (P, L)
-    sample_rate: int
-
-    def __post_init__(self):
-        self.taps = np.atleast_2d(np.asarray(self.taps, dtype=np.float64))
-
-    @property
-    def channels(self) -> int:
-        return self.taps.shape[0]
-
-
 def _image_sources(scene: SceneSpec, src: np.ndarray):
-    """Enumerate image-source positions and reflection amplitudes up to
-    max_image_order total reflections."""
-    lx, ly, lz = scene.room
+    """Image-source positions (K, 3) and reflection amplitudes (K,) up to
+    max_image_order total reflections.
+
+    An image is a mirror flag q and a shift m by whole room pairs per axis;
+    images come in the order of nested loops over qx, qy, qz, mx, my, mz,
+    which simulate_rir's sums keep. Its amplitude is the product of one
+    beta ** hits factor per wall, in the order x0, x1, y0, y1, z0, z1.
+    """
     order = scene.max_image_order
-    beta = np.sqrt(1.0 - np.asarray(scene.absorption))  # pressure reflection coefficients
-    half = order // 2 + 1
-    positions = []
-    amps = []
-    rng_m = range(-half, half + 1)
-    for qx in (0, 1):
-        for qy in (0, 1):
-            for qz in (0, 1):
-                for mx in rng_m:
-                    nx = abs(mx - qx) + abs(mx)
-                    if nx > order:
-                        continue
-                    for my in rng_m:
-                        ny = abs(my - qy) + abs(my)
-                        if nx + ny > order:
-                            continue
-                        for mz in rng_m:
-                            nz = abs(mz - qz) + abs(mz)
-                            if nx + ny + nz > order:
-                                continue
-                            px = (1 - 2 * qx) * src[0] + 2 * mx * lx
-                            py = (1 - 2 * qy) * src[1] + 2 * my * ly
-                            pz = (1 - 2 * qz) * src[2] + 2 * mz * lz
-                            a = (
-                                beta[0] ** abs(mx - qx) * beta[1] ** abs(mx)
-                                * beta[2] ** abs(my - qy) * beta[3] ** abs(my)
-                                * beta[4] ** abs(mz - qz) * beta[5] ** abs(mz)
-                            )
-                            positions.append((px, py, pz))
-                            amps.append(a)
-    return np.asarray(positions), np.asarray(amps)
+    beta = np.sqrt(1.0 - scene.absorption)  # pressure reflection coefficient
+    shifts = np.arange(-(order // 2 + 1), order // 2 + 2)
+    grid = np.meshgrid((0, 1), (0, 1), (0, 1), shifts, shifts, shifts, indexing="ij")
+    image = np.stack(grid, axis=-1).reshape(-1, 6)
+    q, m = image[:, :3], image[:, 3:]
+    # reflections off the low and the high wall of each axis
+    hits = np.stack([np.abs(m - q), np.abs(m)], axis=2).reshape(-1, 6)
+    keep = hits.sum(axis=1) <= order
+    q, m, hits = q[keep], m[keep], hits[keep]
+    positions = (1 - 2 * q) * src + 2 * m * np.asarray(scene.room, dtype=np.float64)
+    # scalar powers, multiplied wall by wall: the bytes of the per-image product
+    wall = np.array([beta ** k for k in range(order + 1)])[hits]
+    return positions, wall[:, 0] * wall[:, 1] * wall[:, 2] * wall[:, 3] * wall[:, 4] * wall[:, 5]
 
 
-def simulate_rir(scene: SceneSpec, emitter: str = "source") -> RoomImpulseResponse:
+def simulate_rir(scene: SceneSpec, emitter: str = "source") -> np.ndarray:
     """Image-source RIR from the scene's source (or noise) position to all
-    eight microphones. Direct-path amplitude is 1/(4 pi r)."""
+    eight microphones: (8, L) float64 taps at SAMPLE_RATE. Direct-path
+    amplitude is 1/(4 pi r)."""
     if emitter == "source":
         src = np.asarray(scene.source_position, dtype=np.float64)
     elif emitter == "noise":
@@ -192,7 +155,7 @@ def simulate_rir(scene: SceneSpec, emitter: str = "source") -> RoomImpulseRespon
 
     mics = scene.mic_positions()
     positions, amps = _image_sources(scene, src)
-    fs = scene.sample_rate
+    fs = SAMPLE_RATE
 
     # farthest image sets the tap count
     d_all = np.linalg.norm(positions[:, None, :] - mics[None, :, :], axis=2)
@@ -221,7 +184,7 @@ def simulate_rir(scene: SceneSpec, emitter: str = "source") -> RoomImpulseRespon
         t = n - np.repeat(tau, counts)
         vals = np.repeat(gain, counts) * np.sinc(t) * (0.5 + 0.5 * np.cos(np.pi * t / w))
         taps[p] = np.bincount(n, weights=vals, minlength=length)
-    return RoomImpulseResponse(taps, fs)
+    return taps
 
 
 def _fft_size(n: int) -> int:
@@ -242,38 +205,34 @@ def _fft_size(n: int) -> int:
 def mix(
     speech: TimeSignal,
     noise: TimeSignal,
-    rir_speech: RoomImpulseResponse,
-    rir_noise: RoomImpulseResponse,
+    rir_speech: np.ndarray,
+    rir_noise: np.ndarray,
     snr_db: float,
 ):
-    """Render a scene. Returns (mixture, reverberant_clean, dry), all
-    truncated to the dry length: mixture and reverberant_clean have one
-    channel per microphone, dry is the unprocessed source.
+    """Render a scene from single-channel speech and noise at SAMPLE_RATE
+    and the (P, L) taps simulate_rir gives for each. Returns (mixture,
+    reverberant_clean, dry), all truncated to the dry length: mixture and
+    reverberant_clean have one channel per microphone, dry is the
+    unprocessed source.
 
     snr_db is enforced between reverberant speech and scaled reverberant
     noise on channel 0; +inf disables the noise entirely.
     """
-    if speech.channels != 1 or noise.channels != 1:
-        raise ValueError("mix expects single-channel dry speech and noise")
-    if speech.sample_rate != noise.sample_rate:
-        raise ValueError("speech/noise sample rate mismatch")
-    for name, rir in (("speech", rir_speech), ("noise", rir_noise)):
-        if rir.sample_rate != speech.sample_rate:
-            raise ValueError(f"{name} RIR sample rate {rir.sample_rate} Hz does not match "
-                             f"the speech's {speech.sample_rate} Hz")
-    if rir_speech.channels != rir_noise.channels:
+    for name, sig in (("speech", speech), ("noise", noise)):
+        check_signal(sig, name, SAMPLE_RATE, 1)
+    if rir_speech.shape[0] != rir_noise.shape[0]:
         raise ValueError("RIR channel count mismatch")
     n = speech.length
     if noise.length < n:
         raise ValueError("noise must be at least as long as speech")
 
-    def render(sig: np.ndarray, rir: RoomImpulseResponse) -> np.ndarray:
+    def render(sig: np.ndarray, taps: np.ndarray) -> np.ndarray:
         # the full linear convolution of every channel at once, through real
         # FFTs of the size scipy.signal.fftconvolve picks, so the first n
         # samples are the bytes it would give channel by channel; copied,
         # so the caller holds a contiguous (P, n) and not the whole transform
-        size = _fft_size(n + rir.taps.shape[1] - 1)
-        spec = np.fft.rfft(sig, size) * np.fft.rfft(rir.taps, size)
+        size = _fft_size(n + taps.shape[1] - 1)
+        spec = np.fft.rfft(sig, size) * np.fft.rfft(taps, size)
         return np.fft.irfft(spec, size)[:, :n].copy()
 
     rev_s = render(speech.samples[0], rir_speech)
@@ -291,12 +250,7 @@ def mix(
         scale = float(np.sqrt(es / (en * 10.0 ** (snr_db / 10.0))))
 
     mixture = rev_s + scale * rev_n
-    fs = speech.sample_rate
-    return (
-        TimeSignal(mixture, fs),
-        TimeSignal(rev_s, fs),
-        TimeSignal(speech.samples.copy(), fs),
-    )
+    return TimeSignal(mixture), TimeSignal(rev_s), TimeSignal(speech.samples.copy())
 
 
 # -- built-in synthetic sources -------------------------------------------------------
@@ -435,9 +389,6 @@ class ManifestEntry:
     mix_path: Path
     revclean_path: Path
     dry_path: Path
-    snr_db: float
-    source_position: tuple
-    noise_position: tuple
 
 
 def read_manifest(path) -> list:
@@ -456,9 +407,6 @@ def read_manifest(path) -> list:
                 mix_path=path.parent / kv["mix"],
                 revclean_path=path.parent / kv["revclean"],
                 dry_path=path.parent / kv["dry"],
-                snr_db=float(kv["snr_db"]),
-                source_position=tuple(float(v) for v in kv["src"].split(",")),
-                noise_position=tuple(float(v) for v in kv["noise"].split(",")),
             )
         )
     if not entries:

@@ -68,8 +68,8 @@ def test_c1_full_width_shapes_and_parameter_count(monkeypatch):
     )
     shapes = dict(trace)
     assert shapes["enc5"] == (256, 4, 4)
-    assert shapes["lstm_in"] == (4, 1024)
-    assert shapes["lstm_out"] == (4, 1024)
+    assert shapes["lstm_in"] == (1, 4, 1024)
+    assert shapes["lstm_out"] == (1, 4, 1024)
     assert shapes["dec_re5"] == (8, 4, 256)
     assert re.shape == (8, 4, 256) and im.shape == (8, 4, 256)
     dt = time.time() - t0

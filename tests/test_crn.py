@@ -70,8 +70,8 @@ class TestFullWidthLadder:
             ("enc3", (128, 10, 16)),
             ("enc4", (256, 10, 8)),
             ("enc5", (256, 10, 4)),
-            ("lstm_in", (10, 1024)),
-            ("lstm_out", (10, 1024)),
+            ("lstm_in", (1, 10, 1024)),
+            ("lstm_out", (1, 10, 1024)),
             ("dec_re0", (256, 10, 8)),
             ("dec_re1", (128, 10, 16)),
             ("dec_re2", (64, 10, 32)),

@@ -383,7 +383,7 @@ class TestLstm:
     def test_bidirectional_is_concat_of_reversed_runs(self):
         params = to_float64(L.init_lstm_params(rng, 4, 3, layers=1))
         x = r(2, 5, 4)
-        out = L.lstm_seq(x, params, hidden_size=3, layers=1).data
+        out = L.lstm_seq(x, params, layers=1).data
 
         fw = lstm_steps(x, *(params[f"lstm.l0.fw.{n}"].data for n in ("w_ih", "w_hh", "b")))
         bw = lstm_steps(x[:, ::-1], *(params[f"lstm.l0.bw.{n}"].data
@@ -454,13 +454,8 @@ class TestLstm:
 
     def test_stacked_shapes(self):
         params = to_float64(L.init_lstm_params(rng, 6, 4, layers=2))
-        out = L.lstm_seq(r(3, 7, 6), params, hidden_size=4, layers=2)
+        out = L.lstm_seq(r(3, 7, 6), params, layers=2)
         assert out.shape == (3, 7, 8)
-
-    def test_unbatched_input_round_trips(self):
-        params = to_float64(L.init_lstm_params(rng, 5, 2, layers=1))
-        out = L.lstm_seq(r(9, 5), params, hidden_size=2, layers=1)
-        assert out.shape == (9, 4)
 
     def test_grad_through_bidirectional_stack(self):
         params = to_float64(L.init_lstm_params(rng, 3, 2, layers=2))
@@ -469,7 +464,7 @@ class TestLstm:
 
         def loss(xx, *ps):
             pdict = dict(zip(names, ps))
-            return (L.lstm_seq(xx, pdict, hidden_size=2, layers=2) ** 2).sum()
+            return (L.lstm_seq(xx, pdict, layers=2) ** 2).sum()
 
         check_grads(loss, [x] + [params[n].data for n in names], rtol=1e-3)
 

@@ -206,3 +206,10 @@ class TestModelContainer:
         named = model.named_params()
         total = len(model.stage1.params) + len(model.spatial) + len(model.stage2.params)
         assert len(named) == total
+
+    @pytest.mark.parametrize("freq_bins", [0, -64, 100])
+    def test_bins_not_a_positive_multiple_of_64_raise(self, freq_bins):
+        """Refused by name before any layer is built from them."""
+        with pytest.raises(ValueError, match=f"^freq_bins must be a positive multiple of 64, "
+                                             f"got {freq_bins}$"):
+            init_two_stage_model(1, 1, freq_bins=freq_bins)

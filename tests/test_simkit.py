@@ -1,9 +1,10 @@
 """Room simulation against closed-form geometry.
 
 The mirror enumeration is cross-checked by unfolding first-order
-reflections by hand, convolution against a direct O(N*M) loop and
-against scipy.signal.fftconvolve, and the SNR contract by re-measuring
-the rendered components.
+reflections by hand and against the six nested loops it replaced,
+convolution against a direct O(N*M) loop and against
+scipy.signal.fftconvolve, and the SNR contract by re-measuring the
+rendered components.
 """
 
 from pathlib import Path
@@ -13,13 +14,12 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
-from mcse.dsp import TimeSignal
+from mcse.dsp import SAMPLE_RATE, TimeSignal
 from mcse.simkit import (
     ARRAY_RADIUS,
     SINC_HALF_WIDTH,
     SPEED_OF_SOUND,
     DatasetConfig,
-    RoomImpulseResponse,
     SceneSpec,
     _fft_size,
     _image_sources,
@@ -54,7 +54,7 @@ def rir_loop_oracle(scene: SceneSpec, emitter: str = "source") -> np.ndarray:
                      dtype=np.float64)
     mics = scene.mic_positions()
     positions, amps = _image_sources(scene, src)
-    fs = scene.sample_rate
+    fs = SAMPLE_RATE
     d_all = np.linalg.norm(positions[:, None, :] - mics[None, :, :], axis=2)
     live = amps > 0.0
     length = int(np.ceil(d_all[live].max() / SPEED_OF_SOUND * fs)) + SINC_HALF_WIDTH + 2
@@ -71,10 +71,56 @@ def rir_loop_oracle(scene: SceneSpec, emitter: str = "source") -> np.ndarray:
     return taps
 
 
+def image_sources_loop_oracle(scene: SceneSpec, src: np.ndarray):
+    """The image enumeration as six nested loops, the order _image_sources
+    keeps: mirror flags qx, qy, qz over room-pair shifts mx, my, mz, each
+    image's amplitude the wall factors multiplied in the order x0, x1, y0,
+    y1, z0, z1."""
+    lx, ly, lz = scene.room
+    order = scene.max_image_order
+    beta = np.sqrt(1.0 - scene.absorption)
+    half = order // 2 + 1
+    positions = []
+    amps = []
+    rng_m = range(-half, half + 1)
+    for qx in (0, 1):
+        for qy in (0, 1):
+            for qz in (0, 1):
+                for mx in rng_m:
+                    nx = abs(mx - qx) + abs(mx)
+                    if nx > order:
+                        continue
+                    for my in rng_m:
+                        ny = abs(my - qy) + abs(my)
+                        if nx + ny > order:
+                            continue
+                        for mz in rng_m:
+                            nz = abs(mz - qz) + abs(mz)
+                            if nx + ny + nz > order:
+                                continue
+                            px = (1 - 2 * qx) * src[0] + 2 * mx * lx
+                            py = (1 - 2 * qy) * src[1] + 2 * my * ly
+                            pz = (1 - 2 * qz) * src[2] + 2 * mz * lz
+                            a = (
+                                beta ** abs(mx - qx) * beta ** abs(mx)
+                                * beta ** abs(my - qy) * beta ** abs(my)
+                                * beta ** abs(mz - qz) * beta ** abs(mz)
+                            )
+                            positions.append((px, py, pz))
+                            amps.append(a)
+    return np.asarray(positions), np.asarray(amps)
+
+
 def onset_sample(h: np.ndarray, fraction: float = 0.1) -> int:
     """First sample where cumulative energy crosses a fraction of the total."""
     e = np.cumsum(h ** 2)
     return int(np.searchsorted(e, fraction * e[-1]))
+
+
+def manifest_fields(manifest: Path) -> list:
+    """The key=value fields of each manifest line."""
+    return [dict(f.split("=", 1) for f in line.split()[1:])
+            for line in manifest.read_text().splitlines()]
 
 
 class TestSceneSpec:
@@ -90,13 +136,12 @@ class TestSceneSpec:
             np.testing.assert_allclose(d, ARRAY_RADIUS, rtol=1e-12)
 
     def test_absorption_forms(self):
-        assert SceneSpec(absorption=0.5).absorption == (0.5,) * 6
-        per_wall = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-        assert SceneSpec(absorption=per_wall).absorption == per_wall
-        with pytest.raises(ValueError):
-            SceneSpec(absorption=1.5)
-        with pytest.raises(ValueError):
-            SceneSpec(absorption=(0.1, 0.2))
+        """One absorption, a float in [0, 1], for all six walls."""
+        assert SceneSpec(absorption=1).absorption == 1.0
+        assert isinstance(SceneSpec(absorption=1).absorption, float)
+        for bad in (1.5, -0.1):
+            with pytest.raises(ValueError, match=r"^absorption must lie in \[0, 1\]$"):
+                SceneSpec(absorption=bad)
 
     def test_positions_must_be_inside(self):
         with pytest.raises(ValueError):
@@ -104,24 +149,15 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec(noise_position=(1.0, 1.0, -0.5))
 
-    # a dataset has no rate of its own: it renders at the front end's
     @pytest.mark.parametrize("cls, key, value, message", [
-        pytest.param(SceneSpec, "sample_rate", 0,
-                     "sample_rate must be a positive integer, got 0", id="SceneSpec-rate_zero"),
-        pytest.param(SceneSpec, "sample_rate", -16000,
-                     "sample_rate must be a positive integer, got -16000",
-                     id="SceneSpec-rate_negative"),
-        pytest.param(SceneSpec, "sample_rate", 16000.5,
-                     "sample_rate must be a positive integer, got 16000.5",
-                     id="SceneSpec-rate_fractional"),
-        *(pytest.param(cls, "max_image_order", value,
-                       f"max_image_order must be a nonnegative integer, got {value}",
-                       id=f"{cls.__name__}-order_{name}")
-          for cls in (SceneSpec, DatasetConfig)
-          for name, value in (("fractional", 2.5), ("negative", -1))),
+        pytest.param(cls, "max_image_order", value,
+                     f"max_image_order must be a nonnegative integer, got {value}",
+                     id=f"{cls.__name__}-order_{name}")
+        for cls in (SceneSpec, DatasetConfig)
+        for name, value in (("fractional", 2.5), ("negative", -1))
     ])
     def test_bad_rate_or_order_raises(self, cls, key, value, message):
-        """A rate or order that would render an empty or wrong RIR fails at
+        """An order that would render an empty or wrong RIR fails at
         construction, naming the field and the value."""
         with pytest.raises(ValueError, match=f"^{message}$"):
             cls(**{key: value})
@@ -131,6 +167,14 @@ class TestSceneSpec:
         b = SceneSpec(snr_db=6.0)
         assert a.scene_hash() == SceneSpec().scene_hash()
         assert a.scene_hash() != b.scene_hash()
+
+    def test_hash_matches_older_manifests(self, tmp_path):
+        """The hash payload still holds six wall absorptions, the rate and
+        the array center, so the hashes are the ones scenes always had."""
+        assert SceneSpec().scene_hash() == "ee7ccfe0306c1c06"
+        manifest = build_dataset(DatasetConfig(out_dir=tmp_path, num_utterances=1,
+                                               seconds=0.3, seed=0, max_image_order=1))
+        assert manifest.read_text().split()[-1] == "scene=a04adf48113f0733"
 
 
 class TestCandidateGrid:
@@ -151,12 +195,12 @@ class TestRir:
         scene = SceneSpec(absorption=1.0)
         rir = simulate_rir(scene)
         mics = scene.mic_positions()
-        fs = scene.sample_rate
+        fs = SAMPLE_RATE
         for p in range(8):
             r = np.linalg.norm(np.asarray(scene.source_position) - mics[p])
             want = sinc_pulse_oracle(r / SPEED_OF_SOUND * fs, 1.0 / (4 * np.pi * r),
-                                     rir.taps.shape[1])
-            np.testing.assert_allclose(rir.taps[p], want, atol=1e-12)
+                                     rir.shape[1])
+            np.testing.assert_allclose(rir[p], want, atol=1e-12)
 
     def test_first_order_matches_hand_unfolding(self):
         """Order 1: the direct path plus six wall mirrors, enumerated here
@@ -166,11 +210,10 @@ class TestRir:
         alpha = 0.4
         beta = np.sqrt(1.0 - alpha)
         scene = SceneSpec(room=room, absorption=alpha, source_position=tuple(src),
-                          noise_position=(2.0, 2.0, 1.0), max_image_order=1,
-                          array_center=(2.0, 1.5, 1.2))
+                          noise_position=(2.0, 2.0, 1.0), max_image_order=1)
         rir = simulate_rir(scene)
         mics = scene.mic_positions()
-        fs = scene.sample_rate
+        fs = SAMPLE_RATE
 
         images = [(src, 1.0)]
         for axis, dim in enumerate(room):
@@ -182,13 +225,13 @@ class TestRir:
             images.append((hi, beta))
 
         for p in range(8):
-            want = np.zeros(rir.taps.shape[1])
+            want = np.zeros(rir.shape[1])
             for pos, refl in images:
                 r = np.linalg.norm(pos - mics[p])
                 want += sinc_pulse_oracle(
                     r / SPEED_OF_SOUND * fs, refl / (4 * np.pi * r), want.shape[0]
                 )
-            np.testing.assert_allclose(rir.taps[p], want, atol=1e-12)
+            np.testing.assert_allclose(rir[p], want, atol=1e-12)
 
     def test_direct_path_onset(self):
         # cumulative-energy onset lands within a sample of distance/c
@@ -197,8 +240,8 @@ class TestRir:
         mics = scene.mic_positions()
         for p in range(8):
             r = np.linalg.norm(np.asarray(scene.source_position) - mics[p])
-            expect = r / SPEED_OF_SOUND * scene.sample_rate
-            got = onset_sample(rir.taps[p])
+            expect = r / SPEED_OF_SOUND * SAMPLE_RATE
+            got = onset_sample(rir[p])
             assert abs(got - expect) <= 1.0, f"mic {p}: onset {got} vs {expect:.2f}"
 
     def test_inter_mic_delays_match_geometry(self):
@@ -206,21 +249,21 @@ class TestRir:
         rir = simulate_rir(scene)
         mics = scene.mic_positions()
         src = np.asarray(scene.source_position)
-        fs = scene.sample_rate
+        fs = SAMPLE_RATE
         # anechoic pulses: locate each peak by quadratic interpolation
         for p in range(1, 8):
             want = (np.linalg.norm(src - mics[p]) - np.linalg.norm(src - mics[0])) \
                 / SPEED_OF_SOUND * fs
-            k0, kp = np.argmax(np.abs(rir.taps[0])), np.argmax(np.abs(rir.taps[p]))
+            k0, kp = np.argmax(np.abs(rir[0])), np.argmax(np.abs(rir[p]))
             assert abs((kp - k0) - want) <= 1.0
 
     def test_more_absorption_less_tail(self):
         def tail_energy(alpha):
             scene = SceneSpec(absorption=alpha, max_image_order=4)
             rir = simulate_rir(scene)
-            onset = onset_sample(rir.taps[0])
+            onset = onset_sample(rir[0])
             cut = onset + 2 * SINC_HALF_WIDTH
-            return float(np.sum(rir.taps[0, cut:] ** 2))
+            return float(np.sum(rir[0, cut:] ** 2))
 
         e_live, e_mid, e_dead = tail_energy(0.1), tail_energy(0.5), tail_energy(0.9)
         assert e_live > e_mid > e_dead
@@ -228,8 +271,8 @@ class TestRir:
     def test_higher_order_adds_energy(self):
         scene1 = SceneSpec(absorption=0.3, max_image_order=1)
         scene4 = SceneSpec(absorption=0.3, max_image_order=4)
-        e1 = float(np.sum(simulate_rir(scene1).taps ** 2))
-        e4 = float(np.sum(simulate_rir(scene4).taps ** 2))
+        e1 = float(np.sum(simulate_rir(scene1) ** 2))
+        e4 = float(np.sum(simulate_rir(scene4) ** 2))
         assert e4 > e1
 
     def test_noise_emitter_uses_noise_position(self):
@@ -238,25 +281,33 @@ class TestRir:
         rn = simulate_rir(scene, "noise")
         mics = scene.mic_positions()
         r = np.linalg.norm(np.asarray(scene.noise_position) - mics[0])
-        expect = r / SPEED_OF_SOUND * scene.sample_rate
-        assert abs(np.argmax(np.abs(rn.taps[0])) - expect) <= 1.0
-        assert rs.taps.shape[0] == rn.taps.shape[0] == 8
+        expect = r / SPEED_OF_SOUND * SAMPLE_RATE
+        assert abs(np.argmax(np.abs(rn[0])) - expect) <= 1.0
+        assert rs.shape[0] == rn.shape[0] == 8
 
     @pytest.mark.parametrize("kwargs", [
         {"max_image_order": 0},
         {"max_image_order": 2},
         {"max_image_order": 6},
-        {"max_image_order": 6, "absorption": (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)},
         {"absorption": 1.0},
-        {"sample_rate": 8000, "max_image_order": 4},
         # 4 cm from microphone 0: its direct-path pulse is clipped at sample 0
         {"source_position": tuple(SceneSpec().mic_positions()[0] + [0.04, 0.0, 0.0])},
-    ], ids=["order0", "order2", "order6", "per_wall", "anechoic", "fs8000", "clipped_at_0"])
+    ], ids=["order0", "order2", "order6", "anechoic", "clipped_at_0"])
     @pytest.mark.parametrize("emitter", ["source", "noise"])
     def test_taps_equal_pulse_loop(self, kwargs, emitter):
         scene = SceneSpec(**kwargs)
-        np.testing.assert_array_equal(simulate_rir(scene, emitter).taps,
+        np.testing.assert_array_equal(simulate_rir(scene, emitter),
                                       rir_loop_oracle(scene, emitter))
+
+    @pytest.mark.parametrize("absorption", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("order", range(9))
+    def test_image_sources_equal_nested_loops(self, order, absorption):
+        """Same images, same order, same bytes as the six nested loops."""
+        scene = SceneSpec(absorption=absorption, max_image_order=order)
+        src = np.asarray(scene.source_position, dtype=np.float64)
+        for got, want in zip(_image_sources(scene, src), image_sources_loop_oracle(scene, src)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_unknown_emitter_raises(self):
         with pytest.raises(ValueError):
@@ -267,7 +318,7 @@ class TestMix:
     def unit_rirs(self, channels=3):
         taps = np.zeros((channels, 8))
         taps[:, 0] = 1.0
-        return RoomImpulseResponse(taps, 16000)
+        return taps
 
     def test_unit_rir_identity(self):
         s = TimeSignal(rng.standard_normal((1, 500)), 16000)
@@ -299,7 +350,7 @@ class TestMix:
         n = TimeSignal(rng.standard_normal((1, 400)), 16000)
         mixture, revclean, _ = mix(s, n, rir, rir, np.inf)
 
-        h = rir.taps[2]
+        h = rir[2]
         want = np.zeros(400)
         for i in range(400):
             lo = max(0, i - len(h) + 1)
@@ -316,7 +367,7 @@ class TestMix:
         mixture, revclean, _ = mix(s, n, rs, rn, 5.0)
 
         def render(sig, rir):
-            return np.stack([fftconvolve(sig, h)[: sig.shape[0]] for h in rir.taps])
+            return np.stack([fftconvolve(sig, h)[: sig.shape[0]] for h in rir])
 
         rev_s, rev_n = render(s.samples[0], rs), render(n.samples[0], rn)
         scale = np.sqrt(np.sum(rev_s[0] ** 2) / (np.sum(rev_n[0] ** 2) * 10.0 ** 0.5))
@@ -346,13 +397,13 @@ class TestMix:
             mix(s, n, self.unit_rirs(), self.unit_rirs(), 5.0)
 
     @pytest.mark.parametrize("which", ["speech", "noise"])
-    def test_rir_at_another_rate_raises(self, which):
-        s = TimeSignal(np.ones((1, 300)), 16000)
-        rirs = {"speech": self.unit_rirs(), "noise": self.unit_rirs()}
-        rirs[which] = RoomImpulseResponse(rirs[which].taps, 8000)
-        with pytest.raises(ValueError, match=f"^{which} RIR sample rate 8000 Hz does not match "
-                                             "the speech's 16000 Hz$"):
-            mix(s, s, rirs["speech"], rirs["noise"], 5.0)
+    def test_signal_at_another_rate_raises(self, which):
+        """The taps are at SAMPLE_RATE, so 8 kHz speech or noise is refused by name."""
+        sigs = {"speech": TimeSignal(np.ones((1, 300)), 16000),
+                "noise": TimeSignal(np.ones((1, 300)), 16000)}
+        sigs[which] = TimeSignal(np.ones((1, 300)), 8000)
+        with pytest.raises(ValueError, match=f"^{which}: sample rate 8000 Hz, expected 16000 Hz$"):
+            mix(sigs["speech"], sigs["noise"], self.unit_rirs(), self.unit_rirs(), 5.0)
 
 
 class TestSyntheticSources:
@@ -402,14 +453,16 @@ class TestDataset:
         assert entries[0].uid == "utt0000"
         assert entries[0].mix_path.exists()
         assert entries[0].dry_path.exists()
-        assert 0.0 <= entries[0].snr_db <= 10.0
-        assert len(entries[0].source_position) == 3
+        # the scene draw is written for the reader, not read back
+        draw = manifest_fields(manifest)[0]
+        assert 0.0 <= float(draw["snr_db"]) <= 10.0
+        assert len(draw["src"].split(",")) == 3
 
     def test_source_and_noise_positions_differ(self, tmp_path):
         manifest = build_dataset(DatasetConfig(out_dir=tmp_path, num_utterances=3,
                                                seconds=0.3, seed=5, max_image_order=1))
-        for e in read_manifest(manifest):
-            assert e.source_position != e.noise_position
+        for draw in manifest_fields(manifest):
+            assert draw["src"] != draw["noise"]
 
     def test_wav_channel_counts(self, tmp_path):
         from mcse.wavio import read_wav
