@@ -2,12 +2,16 @@
 of the values init_two_stage_model builds it from, then named float32
 little-endian tensors. Parameters, batchnorm buffers and (optionally)
 optimizer state all ride the same tensor table, so a save/load round trip
-is bit-exact.
+is bit-exact. A load makes one allocation per kind: the parameters are
+views of one array, the optimizer moments of another, and the buffers are
+copied into the model's own arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -47,9 +51,30 @@ def _read(fh, n: int, what: str) -> bytearray:
     return _read_into(fh, bytearray(n), what)
 
 
+ALIGN = 16  # float32 elements in 64 bytes, where each loaded tensor starts
+
+
+def _aligned(n: int) -> np.ndarray:
+    """An uninitialized float32 array of n elements starting on a 64-byte
+    boundary: a view of one allocation of n + ALIGN - 1 elements."""
+    buf = np.empty(n + ALIGN - 1, dtype="<f4")
+    skip = (-buf.ctypes.data % (4 * ALIGN)) // 4
+    return buf[skip : skip + n]
+
+
 def _read_tensors(fh) -> dict:
+    """The tensor table as {name: array}, in two passes. The first reads
+    each name and shape and seeks past the data, refusing as truncated a
+    tensor whose data would run past the end of the file before anything
+    is allocated. Then each kind (the name's first dotted part: param,
+    buffer, opt) gets one float32 array, and each tensor is read into a
+    view of it that starts on a 64-byte boundary. So one kind's tensors
+    are freed together, and dropping the optimizer moments frees them even
+    while the parameters live. Leaves fh at the end of the table."""
+    size = os.fstat(fh.fileno()).st_size
     (count,) = struct.unpack("<I", _read(fh, 4, "tensor count"))
-    out = {}
+    table = []  # (name, shape, kind, file offset of the data, element offset in its kind)
+    fill = {}  # elements per kind, each tensor rounded up to ALIGN
     for k in range(count):
         where = f"name of tensor {k}"
         (nlen,) = struct.unpack("<H", _read(fh, 2, where))
@@ -57,8 +82,21 @@ def _read_tensors(fh) -> dict:
         where = f"tensor {name!r}"
         (rank,) = struct.unpack("<B", _read(fh, 1, where))
         shape = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, where))
-        # read straight into the tensor's own array
-        out[name] = _read_into(fh, np.empty(shape, dtype="<f4"), where)
+        need, found = 4 * math.prod(shape), max(size - fh.tell(), 0)
+        if need > found:
+            raise ValueError(f"checkpoint is truncated: {where} needs {need} bytes, found {found}")
+        kind = name.split(".", 1)[0]
+        table.append((name, shape, kind, fh.tell(), fill.get(kind, 0)))
+        fill[kind] = fill.get(kind, 0) + -(-need // (4 * ALIGN)) * ALIGN
+        fh.seek(need, 1)
+    end = fh.tell()
+    arrays = {kind: _aligned(n) for kind, n in fill.items()}
+    out = {}
+    for name, shape, kind, at, start in table:
+        fh.seek(at)
+        view = arrays[kind][start : start + math.prod(shape)].reshape(shape)
+        out[name] = _read_into(fh, view, f"tensor {name!r}")
+    fh.seek(end)
     return out
 
 

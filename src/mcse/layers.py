@@ -250,10 +250,10 @@ def linear(x, w, b) -> Tensor:
 # -- LSTM --------------------------------------------------------------------------
 
 # Input-projection rows (steps x batch) per block when a forward keeps no
-# history: 32 steps of the spatial filter's 256 bands, and the whole
-# sequence of a CRN bottleneck (batch 1), where smaller blocks would
-# re-read its large w_ih.
-_CHUNK_ROWS = 8192
+# history: 16 steps of one 128-band block of the spatial filter (2 MB of
+# float32 gates per direction), and the whole sequence of a CRN bottleneck
+# (batch 1) up to T 2048, where smaller blocks would re-read its large w_ih.
+_CHUNK_ROWS = 2048
 
 
 def _gate_constants(h_size: int, dtype):

@@ -392,23 +392,25 @@ class ManifestEntry:
 
 
 def read_manifest(path) -> list:
+    """The manifest's entries. A line with a field that is not key=value,
+    or without one of the mix, revclean and dry keys, is refused by path,
+    line number and field or key."""
     path = Path(path)
+    keys = ("mix", "revclean", "dry")  # ManifestEntry's paths, in order
     entries = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         fields = line.split()
-        uid = fields[0]
+        if not fields:
+            continue
+        where = f"manifest {path} line {number}"
+        for f in fields[1:]:
+            if "=" not in f:
+                raise ValueError(f"{where}: field {f!r} is not key=value")
         kv = dict(f.split("=", 1) for f in fields[1:])
-        entries.append(
-            ManifestEntry(
-                uid=uid,
-                mix_path=path.parent / kv["mix"],
-                revclean_path=path.parent / kv["revclean"],
-                dry_path=path.parent / kv["dry"],
-            )
-        )
+        for key in keys:
+            if key not in kv:
+                raise ValueError(f"{where}: no {key}= field")
+        entries.append(ManifestEntry(fields[0], *(path.parent / kv[k] for k in keys)))
     if not entries:
         raise ValueError(f"manifest {path} has no entries")
     return entries

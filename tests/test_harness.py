@@ -5,10 +5,12 @@ defining formulas. Training-loop tests run a deliberately tiny model
 (2 channels, width 1/16) so the whole module stays in the seconds range.
 """
 
+import gc
 import json
 import logging
 import re
 import struct
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +27,7 @@ from mcse.crn import CrnParams, crn_forward
 from mcse.dsp import TimeSignal, istft, stft
 from mcse.optim import AdamWState, TrainConfig, adamw_step, lr_schedule
 from mcse.pipeline import enhance, filter_and_sum, init_two_stage_model
-from mcse.simkit import DatasetConfig
+from mcse.simkit import DatasetConfig, read_manifest
 from mcse.tensor import Tensor, no_grad
 import mcse.train
 from mcse.train import CURVE_COLUMNS, Utterance, load_training_set, train, write_loss_curve
@@ -307,6 +309,24 @@ class TestTruncatedCheckpoint:
         with pytest.raises(ValueError, match=r"truncated: tensor 'buffer\.stage2\..*' needs 4 bytes"):
             load_checkpoint(path)
 
+    def test_huge_shape_is_refused_before_allocating(self, small_checkpoint, capsys):
+        """A shape rewritten to (60000, 60000), 13.4 GiB of float32, is
+        refused as truncated by the pass over the table, before anything
+        is allocated: by load_checkpoint and by `mcse enhance` (exit 1)."""
+        raw, path = small_checkpoint
+        name = b"param.spatial.fc.w"
+        rank_at = raw.index(name) + len(name)
+        assert raw[rank_at] == 2
+        data_at = rank_at + 1 + 8
+        path.write_bytes(raw[:rank_at + 1] + struct.pack("<II", 60000, 60000) + raw[data_at:])
+        message = (f"checkpoint is truncated: tensor 'param.spatial.fc.w' needs "
+                   f"{4 * 60000 * 60000} bytes, found {len(raw) - data_at}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+        assert main(["enhance", "--model", str(path), "--in", str(path.with_name("x.wav")),
+                     "--out", str(path.with_name("y.wav"))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCorruptCheckpoint:
     def test_trailing_bytes_are_refused(self, small_checkpoint):
@@ -362,6 +382,32 @@ class TestCorruptCheckpoint:
         assert main(["enhance", "--model", str(path), "--in", str(path.with_name("x.wav")),
                      "--out", str(path.with_name("y.wav"))]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestCheckpointAllocation:
+    def test_one_array_per_kind(self, tmp_path):
+        """A load reads every parameter into views of one array and every
+        optimizer moment into views of another, each view on a 64-byte
+        boundary; dropping the optimizer state frees its array while the
+        model lives."""
+        model = tiny_model(seed=2)
+        state = AdamWState.for_params(model.stage_params("stage2"))
+        path = tmp_path / "resume.bin"
+        save_checkpoint(path, model, state)
+        loaded, opt, _ = load_checkpoint(path)
+        params = [t.data for t in loaded.named_params().values()]
+        moments = [*opt.m.values(), *opt.v.values()]
+        param_base, moment_base = params[0].base, moments[0].base
+        assert param_base is not None and moment_base is not None
+        assert param_base is not moment_base
+        assert all(a.base is param_base for a in params)
+        assert all(a.base is moment_base for a in moments)
+        assert all(a.ctypes.data % 64 == 0 for a in params + moments)
+        moments_alive = weakref.ref(moment_base)
+        del opt, moments, moment_base
+        gc.collect()
+        assert moments_alive() is None
+        assert all(t.data.base is param_base for t in loaded.named_params().values())
 
 
 class TestCheckpointShapes:
@@ -502,6 +548,21 @@ class TestTrainLoop:
 
 
 class TestCli:
+    @pytest.mark.parametrize("line, fault", [
+        ("u1 revclean=r.wav dry=d.wav", "no mix= field"),
+        ("u1 mix=m.wav revclean=r.wav dry", "field 'dry' is not key=value"),
+    ], ids=["missing_key", "bare_field"])
+    def test_malformed_manifest_line_is_named(self, tmp_path, capsys, line, fault):
+        """read_manifest refuses the line by path, line number and key or
+        field, and `mcse train --data` exits 1 with that message."""
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"u0 mix=m.wav revclean=r.wav dry=d.wav\n{line}\n")
+        message = f"manifest {manifest} line 2: {fault}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_manifest(manifest)
+        assert main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_config_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("not_a_key = 1\n")

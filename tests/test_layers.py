@@ -409,12 +409,12 @@ class TestLstm:
             assert a.dtype == b.dtype == np.float32
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("t_", [1, 32, 37])
+    @pytest.mark.parametrize("t_", [1, 8, 13])
     def test_unrecorded_forward_matches_recorded(self, t_):
-        """Under no_grad the projection runs in blocks (32 steps at batch
+        """Under no_grad the projection runs in blocks (8 steps at batch
         256) and cell state in rings; the output matches the recorded
         forward, which keeps every step."""
-        assert L._CHUNK_ROWS // 256 == 32
+        assert L._CHUNK_ROWS // 256 == 8
         x = r(256, t_, 8).astype(np.float32)
         fw, bw = ([w.astype(np.float32) for w in lstm_triple(16, 8, 0.5)] for _ in range(2))
         recorded = L.lstm_cell_seq(Tensor(x, requires_grad=True), fw, bw)

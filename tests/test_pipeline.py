@@ -6,15 +6,18 @@ parameter set, bands on the batch axis), and the end-to-end path is
 pinned for shapes, determinism, and input validation.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mcse import layers as L
 from mcse import runtime
 from mcse.crn import crn_forward
 from mcse.dsp import Spectrogram, TimeSignal
 from mcse.pipeline import (
+    SPATIAL_BAND_BLOCK,
     StftSettings,
     TwoStageModel,
     enhance,
@@ -100,6 +103,39 @@ class TestSpatialFilter:
                 Tensor(s_re[:, :, 7:8]), Tensor(s_im[:, :, 7:8]), model
             )
         np.testing.assert_allclose(one_re.data[:, 0], f_re.data[:, 7], rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("t_", [16, 17])
+    def test_band_blocks_match_one_recorded_block(self, t_):
+        """Unrecorded, 256 bands run as two blocks of 128, each projected
+        16 steps at a time; recorded, as one block projected whole. The
+        outputs are the same bytes. T 16 ends on a projection-block edge
+        and T 17 crosses one."""
+        assert SPATIAL_BAND_BLOCK == 128 and L._CHUNK_ROWS // SPATIAL_BAND_BLOCK == 16
+        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=1)
+        s_re, s_im = (rng.standard_normal((2, t_, 256)).astype(np.float32) for _ in range(2))
+        recorded = spatial_tensors(s_re, s_im, model)
+        assert all(t.requires_grad for t in recorded)
+        with no_grad():
+            blocks = spatial_tensors(s_re, s_im, model)
+        for a, b in zip(blocks, recorded):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_unrecorded_peak_is_under_two_full_layer_outputs(self):
+        """An unrecorded forward over 256 bands holds one 128-band block's
+        two layer outputs at a time, so its traced peak stays below the
+        two (256, T, 128) float32 layer outputs that one block of every
+        band would hold."""
+        t_ = 120
+        model = init_two_stage_model(8, TOY_WIDTH, 256, seed=1)
+        s_re, s_im = (rng.standard_normal((8, t_, 256)).astype(np.float32) for _ in range(2))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                spatial_tensors(s_re, s_im, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 256 * t_ * 128 * 4
 
     def test_collapses_to_one_channel(self):
         model = toy_model()
