@@ -458,11 +458,11 @@ def lstm_seq(x, params: dict, layers: int) -> Tensor:
     Returns (B, T, 2H), forward features first. Parameters are looked up
     by the names produced by init_lstm_params.
     """
-    out = x
     for layer in range(layers):
         fw, bw = (
             tuple(params[f"lstm.l{layer}.{dr}.{name}"] for name in ("w_ih", "w_hh", "b"))
             for dr in ("fw", "bw")
         )
-        out = lstm_cell_seq(out, fw, bw)
-    return out
+        # rebinding x lets an unrecorded layer's input go as soon as it has run
+        x = lstm_cell_seq(x, fw, bw)
+    return x

@@ -8,10 +8,10 @@ Spatial filter: each frequency band is treated independently. The band's
 P first-stage estimates form a (T, 2P) real/imag feature that is layer
 normalized, run through a shared 2-layer bidirectional LSTM (hidden 64
 per direction), and projected to the band's (T, 2) filtered real/imag
-output. One parameter set serves every band; bands ride the batch axis,
+output. One parameter set serves every band; bands ride the batch axis:
 all of them at once when the tape records, and in blocks of
-SPATIAL_BAND_BLOCK (128) when nothing is recorded, which holds one
-block's LSTM layer outputs at a time to the same bytes.
+SPATIAL_BAND_BLOCK (128) when nothing is recorded, so that inference
+holds one block's LSTM layer outputs at a time. Both give the same bytes.
 
 Stage II: a MISO CRN takes the spatial filter output plus the reference
 mixture channel (4 input channels) and directly maps to the clean
@@ -128,9 +128,11 @@ def stage1_tensors(y_re, y_im, model: TwoStageModel):
     return apply_crn_mask(y_re, y_im, model.stage1)
 
 
-def _band_filter(x, p: dict):
-    """Layernorm, the shared LSTM and the head over a (bands, T, 2P) block
-    of band features -> (bands, T, 2)."""
+def _band_filter(s1_re, s1_im, p: dict):
+    """First-stage estimates (P, T, bands) as Tensors -> (bands, T, 2):
+    band features, layernorm, the shared LSTM and the head."""
+    # (P, T, F) -> (F, T, P), then features (F, T, 2P), reals first
+    x = concat([s1_re.transpose(2, 1, 0), s1_im.transpose(2, 1, 0)], axis=2)
     h = L.lstm_seq(L.layernorm(x, p["ln.gamma"], p["ln.beta"]), p, SPATIAL_LAYERS)
     return L.linear(h, p["fc.w"], p["fc.b"])
 
@@ -144,16 +146,16 @@ def spatial_tensors(s1_re, s1_im, model: TwoStageModel):
     in blocks of SPATIAL_BAND_BLOCK bands; recorded, in one block.
     """
     p = model.spatial
-    # (P, T, F) -> (F, T, P), then features (F, T, 2P), reals first
-    xr = as_tensor(s1_re, np.float32).transpose(2, 1, 0)
-    xi = as_tensor(s1_im, np.float32).transpose(2, 1, 0)
-    x = concat([xr, xi], axis=2)
-    f_bins = x.shape[0]
+    s_re, s_im = as_tensor(s1_re, np.float32), as_tensor(s1_im, np.float32)
+    f_bins = s_re.shape[2]
     # bands never mix before the per-band head, so an unrecorded forward
     # runs them in blocks and holds one block's layer outputs at a time
-    block = f_bins if records((x, *p.values())) else SPATIAL_BAND_BLOCK
-    heads = [_band_filter(x if block >= f_bins else x[f0 : f0 + block], p)
-             for f0 in range(0, f_bins, block)]
+    block = f_bins if records((s_re, s_im, *p.values())) else SPATIAL_BAND_BLOCK
+
+    def bands(t, f0):  # one block of every band is t itself, with no slice on the tape
+        return t if block >= f_bins else t[:, :, f0 : f0 + block]
+
+    heads = [_band_filter(bands(s_re, f0), bands(s_im, f0), p) for f0 in range(0, f_bins, block)]
     out = heads[0] if len(heads) == 1 else concat(heads, axis=0)  # (F, T, 2)
     f_re = out[:, :, 0].transpose(1, 0)
     f_im = out[:, :, 1].transpose(1, 0)
