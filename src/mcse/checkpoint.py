@@ -86,8 +86,9 @@ def _read_tensors(fh) -> dict:
         if need > found:
             raise ValueError(f"checkpoint is truncated: {where} needs {need} bytes, found {found}")
         kind = name.split(".", 1)[0]
-        table.append((name, shape, kind, fh.tell(), fill.get(kind, 0)))
-        fill[kind] = fill.get(kind, 0) + -(-need // (4 * ALIGN)) * ALIGN
+        start = fill.get(kind, 0)
+        table.append((name, shape, kind, fh.tell(), start))
+        fill[kind] = start + -(-need // (4 * ALIGN)) * ALIGN
         fh.seek(need, 1)
     end = fh.tell()
     arrays = {kind: _aligned(n) for kind, n in fill.items()}
