@@ -21,6 +21,7 @@ HOP_SIZE = 64
 FFT_SIZE = 512
 
 COMPRESS_EPS = 1e-8
+STFT_BLOCK = 256  # frames that stft windows and transforms at a time
 
 
 @dataclass
@@ -144,12 +145,18 @@ def stft(x: TimeSignal, frame_size: int = FRAME_SIZE, hop: int = HOP_SIZE,
     data[:, : x.length] = x.samples
     window = hann_window(frame_size)
 
-    frames = np.lib.stride_tricks.sliding_window_view(data, frame_size, axis=-1)
-    frames = frames[:, ::hop] * window
-    spec = np.fft.rfft(frames, n=fft_size, axis=-1)[..., : fft_size // 2]
-    return Spectrogram(
-        spec.real.copy(), spec.imag.copy(), frame_size, hop, fft_size, x.sample_rate
-    )
+    frames = np.lib.stride_tricks.sliding_window_view(data, frame_size, axis=-1)[:, ::hop]
+    bins = fft_size // 2
+    re = np.empty((x.channels, n_frames, bins))
+    im = np.empty_like(re)
+    # a block of frames at a time, so that no windowed or complex copy of
+    # the whole signal's frames is ever held
+    for t0 in range(0, n_frames, STFT_BLOCK):
+        blk = slice(t0, t0 + STFT_BLOCK)
+        spec = np.fft.rfft(frames[:, blk] * window, n=fft_size, axis=-1)
+        re[:, blk] = spec.real[..., :bins]
+        im[:, blk] = spec.imag[..., :bins]
+    return Spectrogram(re, im, frame_size, hop, fft_size, x.sample_rate)
 
 
 def istft(s: Spectrogram, length: int | None = None) -> TimeSignal:

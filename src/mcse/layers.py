@@ -249,10 +249,12 @@ def linear(x, w, b) -> Tensor:
 
 # -- LSTM --------------------------------------------------------------------------
 
-# Input-projection rows (steps x batch) per block when a forward keeps no
-# history: 16 steps of one 128-band block of the spatial filter (2 MB of
-# float32 gates per direction), and the whole sequence of a CRN bottleneck
-# (batch 1) up to T 2048, where smaller blocks would re-read its large w_ih.
+# Input-projection rows (steps x batch) per gate block: 16 steps of one
+# 128-band block of the spatial filter in inference and 8 steps of its 256
+# training bands (2 MB of float32 gates per direction), and the whole
+# sequence of a CRN bottleneck (batch 1) up to T 2048, where smaller blocks
+# would re-read its large w_ih. A forward holds one block of gates; the
+# backward of a recorded one recomputes every block but the last.
 _CHUNK_ROWS = 2048
 
 
@@ -290,27 +292,47 @@ def _lstm_hidden(x, w_ih, w_hh, b) -> int:
     return h_size
 
 
+def _project(x, w_ih, b, t0, block):
+    """Write the input projection plus b of x's steps from t0 into the
+    time-major gate block (n, B, 4H); returns those steps' time-major
+    (n * B, D) input rows."""
+    n, bsz, four_h = block.shape
+    x_tm = x[:, t0 : t0 + n].transpose(1, 0, 2).reshape(n * bsz, x.shape[2])
+    np.matmul(x_tm, w_ih.T, out=block.reshape(n * bsz, four_h))
+    block += b
+    return x_tm
+
+
+def _step_gates(z, t, hs, w_hh_t, rec, scale, shift):
+    """Step t's gates, activated in place over its projected row z once
+    h[t - 1] @ w_hh.T is added through the scratch row rec."""
+    if t > 0:
+        np.matmul(hs[t - 1], w_hh_t, out=rec)
+        z += rec
+    return _activate_gates(z, scale, shift)
+
+
 def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     """One direction over x (B, T, D), writing every step's h straight
     into out (B, T, H), which may be a strided view. Initial hidden and
     cell state are zero.
 
-    Each step activates its (B, 4H) gate row in place with one tanh
-    (_activate_gates). The gate and cell buffers are time-major, (T, B,
-    .), so every step reads and writes contiguous slabs; tanh(cell) goes
-    through one (B, H) scratch buffer. With keep, the input projection
-    runs over the whole sequence at once, every step's gates and cell are
-    kept and the cache for _lstm_backward is returned. Without it, the
-    projection runs in blocks of _CHUNK_ROWS rows through one scratch
-    buffer, cell is a 2-deep ring, and None is returned.
+    The input projection runs in blocks of _CHUNK_ROWS rows through one
+    time-major (steps, B, 4H) gate buffer, and each step activates its gate
+    row in place with one tanh (_activate_gates). Cell state is time-major
+    too, so every step reads and writes contiguous slabs; tanh(cell) goes
+    through one (B, H) scratch buffer. With keep, every step's cell is
+    kept and the cache for _lstm_backward is returned: the inputs, the
+    cells, h, and the gate buffer, which holds the last block's activated
+    gates. Without it, cell is a 2-deep ring and None is returned.
     """
-    bsz, t_len, d_in = x.shape
+    bsz, t_len, _ = x.shape
     four_h = w_ih.shape[0]
     h_size = four_h // 4
     dtype = x.dtype
     sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
     sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
-    chunk = max(t_len if keep else _CHUNK_ROWS // max(bsz, 1), 1)
+    chunk = max(_CHUNK_ROWS // max(bsz, 1), 1)
     depth = t_len if keep else 2
     gates = np.empty((min(chunk, t_len), bsz, four_h), dtype=np.result_type(x, w_ih))
     cells = np.empty((depth, bsz, h_size), dtype=dtype)
@@ -320,64 +342,82 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     scale, shift = _gate_constants(h_size, dtype)
     rec = np.empty((bsz, four_h), dtype=dtype)
     for t0 in range(0, t_len, chunk):
-        n = min(chunk, t_len - t0)
-        block = gates[:n]
-        x_tm = x[:, t0 : t0 + n].transpose(1, 0, 2).reshape(n * bsz, d_in)
-        np.matmul(x_tm, w_ih.T, out=block.reshape(n * bsz, four_h))
-        block += b
-        for t in range(t0, t0 + n):
-            z, c = block[t - t0], cells[t % depth]
-            if t > 0:
-                np.matmul(hs[t - 1], w_hh_t, out=rec)
-                z += rec
-            _activate_gates(z, scale, shift)
+        block = gates[: min(chunk, t_len - t0)]
+        _project(x, w_ih, b, t0, block)
+        for t in range(t0, t0 + len(block)):
+            z = _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
+            c = cells[t % depth]
             np.multiply(z[:, sl_i], z[:, sl_g], out=c)
             if t > 0:
                 c += z[:, sl_f] * cells[(t - 1) % depth]
             np.tanh(c, out=tc)
             np.multiply(z[:, sl_o], tc, out=hs[t])
-    return (x, w_ih, w_hh, gates, cells, hs) if keep else None
+    return (x, w_ih, w_hh, b, gates, cells, hs) if keep else None
 
 
 def _lstm_backward(cache, grad):
     """BPTT through one _lstm_forward(keep=True) direction for grad (B, T,
     H) of its h. Returns (dx, dw_ih, dw_hh, db).
 
-    Spends the cache: each step's gate pre-activation derivatives dz are
-    written over that step's activated gate row, which no later (earlier
-    in time) step reads, so the gate cache becomes the (T, B, 4H) dz
-    buffer and the cache cannot be used again. tanh(cell) is computed
-    again, from the same contiguous cell slab through the same ufunc as
-    the forward, so it is the same bytes."""
-    x, w_ih, w_hh, gates, cells, hs = cache
-    t_len, bsz, four_h = gates.shape
+    Walks the forward's gate blocks from last to first. The last block's
+    gates are still in the gate buffer; every other block's are computed
+    again into it from x, h and the weights, through the forward's own
+    ops in its order, so they are the same bytes. Each step's gate
+    pre-activation derivatives dz are then written over that step's
+    activated gate row, which no later (earlier in time) step reads, and
+    the block's share of dw_ih, dw_hh and db and its rows of dx are taken
+    from them. So the cache is spent and cannot be used again. tanh(cell)
+    is computed again, from the same contiguous cell slab through the same
+    ufunc as the forward, so it is the same bytes."""
+    x, w_ih, w_hh, b, gates, cells, hs = cache
+    bsz, t_len, d_in = x.shape
+    chunk, _, four_h = gates.shape
     h_size = four_h // 4
     sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
     sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
+    w_hh_t = w_hh.T
+    scale, shift = _gate_constants(h_size, cells.dtype)
+    rec = np.empty((bsz, four_h), dtype=cells.dtype)
     g_tm = grad.transpose(1, 0, 2)
     dh_next = np.zeros((bsz, h_size), dtype=grad.dtype)
     dc_next = np.zeros_like(dh_next)
-    for t in range(t_len - 1, -1, -1):
-        z, tc = gates[t], np.tanh(cells[t])
-        i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
-        dh = g_tm[t] + dh_next
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        # every read of z's gates comes before the first write over them
-        d_i = dc * g_ * i * (1.0 - i)
-        d_f = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
-        d_g = dc * i * (1.0 - g_ * g_)
-        d_o = dh * tc * o * (1.0 - o)
-        dc_next = dc * f
-        z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o] = d_i, d_f, d_g, d_o
-        dh_next = z @ w_hh
-    dz_all = gates
-    dz2 = dz_all.reshape(t_len * bsz, four_h)
-    # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
-    dw_hh = dz2[bsz:].T @ hs[:-1].reshape(-1, h_size)
-    db = dz2.sum(axis=0)
-    dw_ih = dz2.T @ x.transpose(1, 0, 2).reshape(t_len * bsz, x.shape[2])
-    dx = np.matmul(dz_all, w_ih).transpose(1, 0, 2)
-    return dx, dw_ih, dw_hh, db
+    dx = np.empty((t_len, bsz, d_in), dtype=np.result_type(gates, w_ih))
+    sums = None
+    last = (t_len - 1) // chunk * chunk
+    for t0 in range(last, -1, -chunk):
+        block = gates[: min(chunk, t_len - t0)]
+        n = len(block)
+        if t0 == last:
+            x_tm = x[:, t0:].transpose(1, 0, 2).reshape(n * bsz, d_in)
+        else:
+            x_tm = _project(x, w_ih, b, t0, block)
+            for t in range(t0, t0 + n):
+                _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
+        for t in range(t0 + n - 1, t0 - 1, -1):
+            z, tc = block[t - t0], np.tanh(cells[t])
+            i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
+            dh = g_tm[t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            # every read of z's gates comes before the first write over them
+            d_i = dc * g_ * i * (1.0 - i)
+            d_f = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
+            d_g = dc * i * (1.0 - g_ * g_)
+            d_o = dh * tc * o * (1.0 - o)
+            dc_next = dc * f
+            z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o] = d_i, d_f, d_g, d_o
+            dh_next = z @ w_hh
+        dz2 = block.reshape(n * bsz, four_h)
+        # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
+        skip = bsz if t0 == 0 else 0
+        h_prev = hs[max(t0 - 1, 0) : t0 + n - 1].reshape(-1, h_size)
+        parts = (dz2.T @ x_tm, dz2[skip:].T @ h_prev, dz2.sum(axis=0))
+        if sums is None:
+            sums = parts
+        else:
+            for s, p in zip(sums, parts):
+                s += p
+        np.matmul(block, w_ih, out=dx[t0 : t0 + n])
+    return (dx.transpose(1, 0, 2), *sums)
 
 
 def lstm_cell_seq(x, fw, bw) -> Tensor:
@@ -394,10 +434,11 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     done (runtime.pair). Without numpy's OpenBLAS thread controls, or with fewer
     than 2 CPUs, both run here one after the other, through the same
     kernels and to the same bytes. Gradients are accumulated on the calling
-    thread only. Under no_grad the forward keeps no per-step history;
-    otherwise the node's backward spends the kept history (_lstm_backward
-    writes its gate derivatives over it), so it runs once, as the tape
-    runs every node.
+    thread only. Under no_grad the forward keeps no per-step history.
+    Otherwise it keeps each direction's cells and one block of gates, and
+    the node's backward recomputes the other blocks' gates from them, x and
+    h, and spends the cache (_lstm_backward writes its gate derivatives
+    over the block), so it runs once, as the tape runs every node.
 
     The name is the one the single-direction op had: perfbench/tracing.py
     wraps this function by name, so its spatial and CRN LSTM spans go on
@@ -428,7 +469,7 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
             lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw]),
             lambda: _lstm_backward(cache_bw, grad[:, ::-1, h_fw:]),
         )
-        # the spent gate and cell histories go before the sums below allocate
+        # the spent gate blocks and cell histories go before the sums below allocate
         cache_fw = cache_bw = None
         for p, g in zip(parents[1:], d_fw + d_bw):
             _accum(p, g)

@@ -12,6 +12,7 @@ import pytest
 from scipy.io import wavfile
 
 from mcse.dsp import (
+    STFT_BLOCK,
     Spectrogram,
     TimeSignal,
     frame_count,
@@ -118,6 +119,22 @@ class TestStft:
         idx = np.arange(512)[None, :] + hop * np.arange(n_frames)[:, None]
         want = np.fft.rfft(data[:, idx] * hann_window(512), n=512, axis=-1)[..., :256]
         s = stft(x, 512, hop, 512)
+        assert s.frames == n_frames
+        assert s.re.tobytes() == want.real.tobytes() and s.im.tobytes() == want.imag.tobytes()
+
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 600])
+    def test_frame_blocks_give_the_whole_transform(self, n_frames):
+        """stft windows and transforms STFT_BLOCK frames at a time; the
+        result is the bytes of one transform of every frame at once, on
+        either side of a block edge and with a partial last block."""
+        assert STFT_BLOCK == 256
+        length = 512 + 64 * (n_frames - 1) - 17 * (n_frames > 1)
+        x = TimeSignal(rng.standard_normal((3, length)), 16000)
+        data = np.zeros((3, 512 + 64 * (n_frames - 1)))
+        data[:, :length] = x.samples
+        frames = np.lib.stride_tricks.sliding_window_view(data, 512, axis=-1)[:, ::64]
+        want = np.fft.rfft(frames * hann_window(512), n=512, axis=-1)[..., :256]
+        s = stft(x)
         assert s.frames == n_frames
         assert s.re.tobytes() == want.real.tobytes() and s.im.tobytes() == want.imag.tobytes()
 

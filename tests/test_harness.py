@@ -31,7 +31,7 @@ from mcse.simkit import DatasetConfig, read_manifest
 from mcse.tensor import Tensor, no_grad
 import mcse.train
 from mcse.train import CURVE_COLUMNS, Utterance, load_training_set, train, write_loss_curve
-from mcse.wavio import write_wav
+from mcse.wavio import read_wav, write_wav
 
 
 def rewrite_header(raw: bytes, edit) -> bytes:
@@ -465,6 +465,35 @@ class TestTrainLoop:
         assert {name: p.grad.dtype for name, p in params.items()} == {
             name: np.dtype(np.float32) for name in params}
 
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "joint"])
+    def test_float32_spectrograms_train_to_the_same_bytes(self, stage):
+        """Every read of a training spectrogram casts it to float32, so a
+        set stored in float32, as load_training_set stores it, trains to the
+        loss curve and parameters of the same set in float64, byte for
+        byte."""
+        cfg = TrainConfig(batch_size=1, max_iters=3, stage=stage, seed=5, lr=1e-3)
+        runs = []
+        for dtype in (np.float64, np.float32):
+            model = tiny_model(seed=1)
+            data = [Utterance(u.uid, *(s.like(s.re.astype(dtype), s.im.astype(dtype))
+                                       for s in (u.mix, u.revclean, u.dry)))
+                    for u in tiny_data(model)]
+            curve = train(data, model, cfg)
+            runs.append((curve, {k: p.data.tobytes() for k, p in model.named_params().items()}))
+        assert runs[0] == runs[1]
+
+    def test_training_set_loads_as_float32(self, tmp_path):
+        for name, channels in (("mix", 2), ("rev", 2), ("dry", 1)):
+            _write_signal(tmp_path / f"{name}.wav", channels)
+        (tmp_path / "manifest.txt").write_text("u0 mix=mix.wav revclean=rev.wav dry=dry.wav\n")
+        (utt,) = load_training_set(tmp_path / "manifest.txt", channels=2)
+        s = tiny_model().stft
+        for spec, name in ((utt.mix, "mix"), (utt.revclean, "rev"), (utt.dry, "dry")):
+            want = stft(read_wav(tmp_path / f"{name}.wav"), s.frame_size, s.hop, s.fft_size)
+            assert spec.re.dtype == spec.im.dtype == np.float32
+            assert spec.re.tobytes() == want.re.astype(np.float32).tobytes()
+            assert spec.im.tobytes() == want.im.astype(np.float32).tobytes()
+
     def test_batchnorm_mode_follows_the_tape(self):
         """A CRN forward the tape records normalizes by the sample's own
         statistics and moves the running buffers. Under no_grad, or with
@@ -672,8 +701,6 @@ class TestCli:
     def test_fresh_filtersum_reads_seed(self, tmp_path):
         """The model drawn without --model follows --seed, and 0 is the
         seed when none is given."""
-        from mcse.wavio import read_wav
-
         _write_signal(tmp_path / "x.wav")
         cfg = tmp_path / "fs.cfg"
         cfg.write_text("width_scale = 1/16\n")

@@ -7,6 +7,7 @@ against central finite differences.
 
 import multiprocessing
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -423,6 +424,65 @@ class TestLstm:
             plain = L.lstm_cell_seq(x, fw, bw)
         assert not plain.requires_grad
         np.testing.assert_allclose(plain.data, recorded.data, rtol=1e-6, atol=0)
+
+    def test_grad_through_recomputed_gate_blocks(self, monkeypatch):
+        """With 3-step gate blocks, T 10 runs as blocks of 3, 3, 3 and 1;
+        the backward recomputes the first three from x, h and the cells."""
+        monkeypatch.setattr(L, "_CHUNK_ROWS", 6)
+        b_, t_, d_, h_ = 2, 10, 3, 3
+        check_grads(
+            lambda x, *w: (L.lstm_cell_seq(x, w[:3], w[3:]) ** 2).sum(),
+            [r(b_, t_, d_), *lstm_triple(h_, d_), *lstm_triple(h_, d_)],
+            rtol=1e-3,
+        )
+
+    @pytest.mark.parametrize("t_", [1, 9, 10])
+    def test_gate_blocks_match_one_block(self, monkeypatch, t_):
+        """A backward that recomputes its gates block by block gives the
+        output and input gradient of one whole-sequence block byte for
+        byte; the weight gradients, summed block by block, agree to
+        float32 rounding. T 1 is one partial block, T 9 three whole ones
+        and T 10 three and a partial one."""
+        b_, d_, h_ = 4, 5, 8
+        x = r(b_, t_, d_).astype(np.float32)
+        ws = [w.astype(np.float32) for w in (*lstm_triple(h_, d_, 0.5), *lstm_triple(h_, d_, 0.5))]
+        g = r(b_, t_, 2 * h_).astype(np.float32)
+
+        def run(rows):
+            monkeypatch.setattr(L, "_CHUNK_ROWS", rows)
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, *ws)]
+            out = L.lstm_cell_seq(ts[0], ts[1:4], ts[4:])
+            (out * Tensor(g)).sum().backward()
+            return out.data, [t.grad for t in ts]
+
+        out_3, (dx_3, *dw_3) = run(3 * b_)
+        out_1, (dx_1, *dw_1) = run(1024)
+        assert out_3.tobytes() == out_1.tobytes()
+        assert dx_3.tobytes() == dx_1.tobytes()
+        # an entry whose terms cancel keeps their rounding, so the bound is
+        # relative to each gradient's largest entry as well as to its own
+        for a, b in zip(dw_3, dw_1):
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
+
+    def test_recorded_forward_keeps_no_gate_history(self):
+        """A recorded forward at B 256, T 64, H 64 keeps each direction's
+        cells and one 8-step block of gates, not every step's (T, B, 4H)
+        gates (16.8 MB of float32 per direction)."""
+        b_, t_, d_, h_ = 256, 64, 16, 64
+        x = Tensor(r(b_, t_, d_).astype(np.float32), requires_grad=True)
+        fw, bw = ([w.astype(np.float32) for w in lstm_triple(h_, d_, 0.3)] for _ in range(2))
+        gate_history = t_ * b_ * 4 * h_ * 4
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = L.lstm_cell_seq(x, fw, bw)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # today: the (B, T, 2H) output, and per direction the (T, B, H)
+        # cells and one (8, B, 4H) gate block, 20.8 MB in all
+        assert held < 2 * gate_history
 
     def test_caller_errstate_reaches_the_worker(self, threaded):
         """An invalid operation in the bw direction alone, which runs on the
