@@ -44,11 +44,11 @@ class Utterance:
 
 
 def load_training_set(manifest_path, channels: int | None = None) -> list:
-    """Utterances of a manifest, as float32 spectrograms under
-    TwoStageModel.stft: every read of them casts to float32, so they are
-    stored so once, at half the memory. Every file must be at its sample
-    rate with finite samples, the mixture (of `channels` channels, when
-    given) and the reverberant clean images with one channel each per
+    """Utterances of a manifest, as spectrograms under TwoStageModel.stft
+    stored in float32: every read of them casts to float32 anyway, so the
+    cast is made once, at half the memory. Every file must be at its
+    sample rate with finite samples, the mixture (of `channels` channels,
+    when given) and the reverberant clean images with one channel each per
     microphone, the dry source with one; any other file is refused by name
     (dsp.check_signal)."""
     entries = read_manifest(manifest_path)

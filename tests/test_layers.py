@@ -480,8 +480,8 @@ class TestLstm:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        # today: the (B, T, 2H) output, and per direction the (T, B, H)
-        # cells and one (8, B, 4H) gate block, 20.8 MB in all
+        # it holds the (B, T, 2H) output, and per direction the (T, B, H)
+        # cells and one (8, B, 4H) gate block: 21 MB in all
         assert held < 2 * gate_history
 
     def test_caller_errstate_reaches_the_worker(self, threaded):
