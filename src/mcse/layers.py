@@ -254,7 +254,8 @@ def linear(x, w, b) -> Tensor:
 # training bands (2 MB of float32 gates per direction), and the whole
 # sequence of a CRN bottleneck (batch 1) up to T 2048, where smaller blocks
 # would re-read its large w_ih. A forward holds one block of gates; the
-# backward of a recorded one recomputes every block but the last.
+# backward of a recorded one recomputes every block but the last, and
+# rebuilds each block's cells from the one cell kept per block.
 _CHUNK_ROWS = 2048
 
 
@@ -319,12 +320,14 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
 
     The input projection runs in blocks of _CHUNK_ROWS rows through one
     time-major (steps, B, 4H) gate buffer, and each step activates its gate
-    row in place with one tanh (_activate_gates). Cell state is time-major
-    too, so every step reads and writes contiguous slabs; tanh(cell) goes
-    through one (B, H) scratch buffer. With keep, every step's cell is
-    kept and the cache for _lstm_backward is returned: the inputs, the
-    cells, h, and the gate buffer, which holds the last block's activated
-    gates. Without it, cell is a 2-deep ring and None is returned.
+    row in place with one tanh (_activate_gates). Cell state is a 2-deep
+    time-major ring, so every step reads and writes contiguous slabs;
+    tanh(cell) goes through one (B, H) scratch buffer. With keep, the cell
+    of the step before each block starts is kept as well (entry 0 stays
+    unset: step 0 adds no previous cell), and the cache for _lstm_backward
+    is returned: the inputs, those (n_blocks, B, H) start cells, h, and the
+    gate buffer, which holds the last block's activated gates. Without it
+    None is returned.
     """
     bsz, t_len, _ = x.shape
     four_h = w_ih.shape[0]
@@ -333,9 +336,9 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
     sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
     chunk = max(_CHUNK_ROWS // max(bsz, 1), 1)
-    depth = t_len if keep else 2
     gates = np.empty((min(chunk, t_len), bsz, four_h), dtype=np.result_type(x, w_ih))
-    cells = np.empty((depth, bsz, h_size), dtype=dtype)
+    cells = np.empty((2, bsz, h_size), dtype=dtype)
+    starts = np.empty((-(-t_len // chunk), bsz, h_size), dtype=dtype) if keep else None
     tc = np.empty((bsz, h_size), dtype=dtype)
     hs = out.transpose(1, 0, 2)
     w_hh_t = w_hh.T  # a view: BLAS reads it transposed, with no per-call copy
@@ -344,15 +347,17 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     for t0 in range(0, t_len, chunk):
         block = gates[: min(chunk, t_len - t0)]
         _project(x, w_ih, b, t0, block)
+        if keep and t0 > 0:
+            starts[t0 // chunk] = cells[(t0 - 1) % 2]
         for t in range(t0, t0 + len(block)):
             z = _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
-            c = cells[t % depth]
+            c = cells[t % 2]
             np.multiply(z[:, sl_i], z[:, sl_g], out=c)
             if t > 0:
-                c += z[:, sl_f] * cells[(t - 1) % depth]
+                c += z[:, sl_f] * cells[(t - 1) % 2]
             np.tanh(c, out=tc)
             np.multiply(z[:, sl_o], tc, out=hs[t])
-    return (x, w_ih, w_hh, b, gates, cells, hs) if keep else None
+    return (x, w_ih, w_hh, b, gates, starts, hs) if keep else None
 
 
 def _lstm_backward(cache, grad):
@@ -362,22 +367,28 @@ def _lstm_backward(cache, grad):
     Walks the forward's gate blocks from last to first. The last block's
     gates are still in the gate buffer; every other block's are computed
     again into it from x, h and the weights, through the forward's own
-    ops in its order, so they are the same bytes. Each step's gate
+    ops in its order, so they are the same bytes. The block's cells are
+    then rebuilt from its kept start cell into a (chunk + 1, B, H) scratch
+    through the forward's ops: i * g, over the whole block at once, then
+    each step's f * c_prev added in time order. Every element rounds as in
+    the forward, so they are the same bytes as well. Each step's gate
     pre-activation derivatives dz are then written over that step's
     activated gate row, which no later (earlier in time) step reads, and
     the block's share of dw_ih, dw_hh and db and its rows of dx are taken
     from them. So the cache is spent and cannot be used again. tanh(cell)
-    is computed again, from the same contiguous cell slab through the same
-    ufunc as the forward, so it is the same bytes."""
-    x, w_ih, w_hh, b, gates, cells, hs = cache
+    is computed again, from a contiguous cell slab through the same ufunc
+    as the forward, so it is the same bytes."""
+    x, w_ih, w_hh, b, gates, starts, hs = cache
     bsz, t_len, d_in = x.shape
     chunk, _, four_h = gates.shape
     h_size = four_h // 4
     sl_i, sl_f = slice(0, h_size), slice(h_size, 2 * h_size)
     sl_g, sl_o = slice(2 * h_size, 3 * h_size), slice(3 * h_size, four_h)
     w_hh_t = w_hh.T
-    scale, shift = _gate_constants(h_size, cells.dtype)
-    rec = np.empty((bsz, four_h), dtype=cells.dtype)
+    scale, shift = _gate_constants(h_size, starts.dtype)
+    rec = np.empty((bsz, four_h), dtype=starts.dtype)
+    # cells[k] is the cell of step t0 + k - 1 of the block being walked
+    cells = np.empty((chunk + 1, bsz, h_size), dtype=starts.dtype)
     g_tm = grad.transpose(1, 0, 2)
     dh_next = np.zeros((bsz, h_size), dtype=grad.dtype)
     dc_next = np.zeros_like(dh_next)
@@ -393,14 +404,18 @@ def _lstm_backward(cache, grad):
             x_tm = _project(x, w_ih, b, t0, block)
             for t in range(t0, t0 + n):
                 _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
+        cells[0] = starts[t0 // chunk]
+        np.multiply(block[:, :, sl_i], block[:, :, sl_g], out=cells[1 : n + 1])
+        for t in range(max(t0, 1), t0 + n):
+            cells[t - t0 + 1] += block[t - t0, :, sl_f] * cells[t - t0]
         for t in range(t0 + n - 1, t0 - 1, -1):
-            z, tc = block[t - t0], np.tanh(cells[t])
+            z, tc = block[t - t0], np.tanh(cells[t - t0 + 1])
             i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
             dh = g_tm[t] + dh_next
             dc = dc_next + dh * o * (1.0 - tc * tc)
             # every read of z's gates comes before the first write over them
             d_i = dc * g_ * i * (1.0 - i)
-            d_f = dc * cells[t - 1] * f * (1.0 - f) if t > 0 else 0.0
+            d_f = dc * cells[t - t0] * f * (1.0 - f) if t > 0 else 0.0
             d_g = dc * i * (1.0 - g_ * g_)
             d_o = dh * tc * o * (1.0 - o)
             dc_next = dc * f
@@ -435,10 +450,12 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     than 2 CPUs, both run here one after the other, through the same
     kernels and to the same bytes. Gradients are accumulated on the calling
     thread only. Under no_grad the forward keeps no per-step history.
-    Otherwise it keeps each direction's cells and one block of gates, and
-    the node's backward recomputes the other blocks' gates from them, x and
-    h, and spends the cache (_lstm_backward writes its gate derivatives
-    over the block), so it runs once, as the tape runs every node.
+    Otherwise it keeps, per direction, one block of gates and the one cell
+    before each block starts, and the node's backward recomputes the other
+    blocks' gates from x, h and the weights, rebuilds every block's cells
+    from its start cell, and spends the cache (_lstm_backward writes its
+    gate derivatives over the block), so it runs once, as the tape runs
+    every node. A sequence of no steps is refused.
 
     The name is the one the single-direction op had: perfbench/tracing.py
     wraps this function by name, so its spatial and CRN LSTM spans go on
@@ -449,6 +466,8 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     fw, bw = tuple(map(as_tensor, fw)), tuple(map(as_tensor, bw))
     if x.ndim != 3:
         raise ValueError(f"lstm_cell_seq expects (B,T,D), got {x.shape}")
+    if x.shape[1] == 0:
+        raise ValueError(f"lstm_cell_seq needs at least one step, got {x.shape}")
     h_fw, h_bw = _lstm_hidden(x, *fw), _lstm_hidden(x, *bw)
     parents = (x, *fw, *bw)
     keep = records(parents)
@@ -469,11 +488,13 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
             lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw]),
             lambda: _lstm_backward(cache_bw, grad[:, ::-1, h_fw:]),
         )
-        # the spent gate blocks and cell histories go before the sums below allocate
+        # the spent gate blocks and start cells go before the sums below allocate
         cache_fw = cache_bw = None
         for p, g in zip(parents[1:], d_fw + d_bw):
             _accum(p, g)
         dx += dx_bw[:, ::-1]
+        # the bw half goes before _accum copies dx
+        del dx_bw
         _accum(x, dx)
 
     return make_node(out, parents, backward)

@@ -425,11 +425,14 @@ class TestLstm:
         assert not plain.requires_grad
         np.testing.assert_allclose(plain.data, recorded.data, rtol=1e-6, atol=0)
 
-    def test_grad_through_recomputed_gate_blocks(self, monkeypatch):
-        """With 3-step gate blocks, T 10 runs as blocks of 3, 3, 3 and 1;
-        the backward recomputes the first three from x, h and the cells."""
+    @pytest.mark.parametrize("t_", [7, 9, 10])
+    def test_grad_through_recomputed_gate_blocks(self, monkeypatch, t_):
+        """With 3-step gate blocks, T 7 runs as blocks of 3, 3 and 1, T 9 as
+        three whole ones and T 10 as 3, 3, 3 and 1. The backward recomputes
+        every block's gates but the last from x, h and the weights, and
+        rebuilds every block's cells from the one cell kept before it."""
         monkeypatch.setattr(L, "_CHUNK_ROWS", 6)
-        b_, t_, d_, h_ = 2, 10, 3, 3
+        b_, d_, h_ = 2, 3, 3
         check_grads(
             lambda x, *w: (L.lstm_cell_seq(x, w[:3], w[3:]) ** 2).sum(),
             [r(b_, t_, d_), *lstm_triple(h_, d_), *lstm_triple(h_, d_)],
@@ -465,9 +468,10 @@ class TestLstm:
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
 
     def test_recorded_forward_keeps_no_gate_history(self):
-        """A recorded forward at B 256, T 64, H 64 keeps each direction's
-        cells and one 8-step block of gates, not every step's (T, B, 4H)
-        gates (16.8 MB of float32 per direction)."""
+        """A recorded forward at B 256, T 64, H 64 keeps neither every
+        step's (T, B, 4H) gates (16.8 MB of float32 per direction) nor
+        every step's (T, B, H) cells (4.2 MB per direction): only one
+        8-step block of gates and the one cell before each block."""
         b_, t_, d_, h_ = 256, 64, 16, 64
         x = Tensor(r(b_, t_, d_).astype(np.float32), requires_grad=True)
         fw, bw = ([w.astype(np.float32) for w in lstm_triple(h_, d_, 0.3)] for _ in range(2))
@@ -480,9 +484,24 @@ class TestLstm:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        # it holds the (B, T, 2H) output, and per direction the (T, B, H)
-        # cells and one (8, B, 4H) gate block: 21 MB in all
-        assert held < 2 * gate_history
+        # it holds the (B, T, 2H) output (8.4 MB), and per direction one
+        # (8, B, 4H) gate block (2.1 MB) and eight (B, H) start cells
+        # (0.5 MB): 13 MB in all. With each direction's cells as well it
+        # would hold 21 MB.
+        assert held < gate_history
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_empty_sequence_is_refused(self, recorded):
+        """A sequence of no steps is refused by shape, recorded or not,
+        instead of recording a node whose backward cannot run."""
+        x = Tensor(np.zeros((2, 0, 3)), requires_grad=recorded)
+        fw, bw = lstm_triple(4, 3), lstm_triple(4, 3)
+        with pytest.raises(ValueError, match=r"\(2, 0, 3\)"):
+            if recorded:
+                L.lstm_cell_seq(x, fw, bw)
+            else:
+                with no_grad():
+                    L.lstm_cell_seq(x, fw, bw)
 
     def test_caller_errstate_reaches_the_worker(self, threaded):
         """An invalid operation in the bw direction alone, which runs on the
