@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .crn import FREQ_BINS_RULE, freq_bins_ok
 from .optim import AdamWState
 from .pipeline import TwoStageModel, init_two_stage_model
 
 MAGIC = b"MCSECKPT"
-VERSION = 2
+VERSION = 3
 
 def _write_tensors(fh, tensors: dict):
     fh.write(struct.pack("<I", len(tensors)))
@@ -113,8 +112,7 @@ class _Layout(np.random.Generator):
 
 KIND = "two_stage"  # the header's model kind, the one this package reads and writes
 # each header key but kind, with the JSON type its value must have
-HEADER_TYPES = {"p_channels": (int, "an integer"), "freq_bins": (int, "an integer"),
-                "width_scale": (str, "a string"),
+HEADER_TYPES = {"p_channels": (int, "an integer"), "width_scale": (str, "a string"),
                 "optimizer_step": ((int, type(None)), "an integer or null")}
 HEADER_KEYS = {"kind", *HEADER_TYPES}
 
@@ -122,9 +120,8 @@ HEADER_KEYS = {"kind", *HEADER_TYPES}
 def save_checkpoint(path, model: TwoStageModel, optimizer: AdamWState | None = None):
     """Serialize a model with optional optimizer state. Tensors are written
     as float32 regardless of working dtype."""
-    config = model.stage1.config
     header = {"kind": KIND, "p_channels": model.p_channels,
-              "width_scale": str(config.width_scale), "freq_bins": config.freq_bins,
+              "width_scale": str(model.stage1.config.width_scale),
               "optimizer_step": optimizer.step if optimizer is not None else None}
 
     tensors = {}
@@ -183,13 +180,11 @@ def load_checkpoint(path):
         width_scale = Fraction(header["width_scale"])
     except (ValueError, ZeroDivisionError):
         refuse("width_scale", "a fraction")
-    if not freq_bins_ok(header["freq_bins"]):
-        refuse("freq_bins", FREQ_BINS_RULE)
     # the layout grows with p_channels, so it is held to the stored input layer first
     enc0 = tensors.get("param.stage1.enc0.w", np.empty(0))
     if enc0.ndim != 4 or 2 * header["p_channels"] != enc0.shape[1]:
         refuse("p_channels", f"half the input channels of the stored stage1.enc0.w {enc0.shape}")
-    model = init_two_stage_model(header["p_channels"], width_scale, header["freq_bins"],
+    model = init_two_stage_model(header["p_channels"], width_scale,
                                  seed=_Layout(np.random.PCG64(0)))
 
     params = model.named_params()

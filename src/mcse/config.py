@@ -6,7 +6,8 @@ by the key's type, and a key outside the table is an error that names
 it, so typos and keys meant for another subcommand fail loudly instead of
 silently doing nothing. So does a key of the table that the `baseline`
 method, or `--model` in place of a fresh model, would ignore (MODE_KEYS),
-and a key read only under a value of another key (READ_WITH).
+a key read only under a value of another key (READ_WITH), and a key given
+twice, whose first value would be ignored.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ def parse_config_text(text: str, command: str, source: str = "<config>") -> dict
         value = value.strip()
         if key not in read:
             raise ConfigError(f"{source}:{lineno}: unknown configuration key {key!r} for {command}")
+        if key in line_of:
+            raise ConfigError(
+                f"{source}:{lineno}: configuration key {key!r} is already set on line {line_of[key]}")
         try:
             out[key] = keys[key](value)
         except (ValueError, ZeroDivisionError) as exc:

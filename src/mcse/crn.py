@@ -1,8 +1,8 @@
 """Convolutional recurrent network for spectrogram-to-spectrogram mapping.
 
 Encoder: six conv blocks (conv + batchnorm + PReLU), kernel (1, 3),
-stride (1, 2), so only the frequency axis is downsampled: 256 -> 128 ->
-64 -> 32 -> 16 -> 8 -> 4 at the default width. The bottleneck flattens
+stride (1, 2), so only the frequency axis is downsampled: the front end's
+FREQ_BINS (256) -> 128 -> 64 -> 32 -> 16 -> 8 -> 4. The bottleneck flattens
 (C6, T, F_b) to a batch of one (T, C6*F_b) sequence for a 2-layer
 bidirectional LSTM whose output width equals its input width, then
 reshapes back. Two mirrored deconv decoders (one for the real plane, one
@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import layers as L
+from .dsp import FFT_SIZE
 from .tensor import as_tensor, concat, records
 
 BASE_CHANNELS = (16, 32, 64, 128, 256, 256)
@@ -35,13 +36,7 @@ KERNEL = (1, 3)  # layers.conv2d/deconv2d take only this kernel shape
 LSTM_LAYERS = 2
 ENCODER_DEPTH = 6
 DECODERS = ("dec_re", "dec_im")
-# the encoder halves the frequency axis ENCODER_DEPTH times
-FREQ_BINS_RULE = f"a positive multiple of {1 << ENCODER_DEPTH}"
-
-
-def freq_bins_ok(freq_bins: int) -> bool:
-    """Whether freq_bins is FREQ_BINS_RULE."""
-    return freq_bins > 0 and freq_bins % (1 << ENCODER_DEPTH) == 0
+FREQ_BINS = FFT_SIZE // 2  # the bins of every spectrogram the front end makes
 
 
 @dataclass
@@ -49,7 +44,6 @@ class CrnConfig:
     c_in: int
     c_out: int
     width_scale: Fraction = Fraction(1)
-    freq_bins: int = 256
 
     def __post_init__(self):
         self.width_scale = Fraction(self.width_scale)
@@ -57,8 +51,6 @@ class CrnConfig:
             raise ValueError("channel counts must be positive")
         if self.c_out % 2 != 0:
             raise ValueError("c_out is the total over both decoder branches and must be even")
-        if not freq_bins_ok(self.freq_bins):
-            raise ValueError(f"freq_bins must be {FREQ_BINS_RULE}, got {self.freq_bins!r}")
         for base in BASE_CHANNELS:
             scaled = base * self.width_scale
             if scaled.denominator != 1 or scaled <= 0:
@@ -74,7 +66,7 @@ class CrnConfig:
 
     @property
     def f_bottleneck(self) -> int:
-        return self.freq_bins >> ENCODER_DEPTH
+        return FREQ_BINS >> ENCODER_DEPTH
 
     @property
     def lstm_input(self) -> int:
@@ -111,7 +103,6 @@ class CrnParams:
 
 def _init_block(params, buffers, rng, name, w_shape, fan_in, out_ch):
     params[f"{name}.w"] = L.uniform_param(rng, w_shape, fan_in)
-    params[f"{name}.b"] = L.zeros_param((out_ch,))
     params[f"{name}.bn.gamma"] = L.full_param((out_ch,), 1.0)
     params[f"{name}.bn.beta"] = L.zeros_param((out_ch,))
     params[f"{name}.prelu.a"] = L.full_param((out_ch,), 0.25)
@@ -143,39 +134,40 @@ def init_crn_params(config: CrnConfig, rng: np.random.Generator) -> CrnParams:
 def _block(layer, x, p: CrnParams, name: str):
     """layer, then batchnorm and PReLU. layer is conv2d (F -> F/2) or
     deconv2d (F -> 2F), both with the fixed (1, 3) kernel, frequency
-    stride 2 and padding 1 that layers.py defines.
+    stride 2 and padding 1 that layers.py defines. The layer has no bias
+    of its own: batchnorm subtracts any per-channel constant again.
 
     Batchnorm runs on the sample's own statistics, updating the running
     buffers, exactly when the tape records the block's parameters.
     Otherwise it is the fixed per-channel map (h - mean) * s + beta with
     s = gamma / sqrt(var + eps), folded into the layer: one conv with
-    weight w * s and bias (b - mean) * s + beta, and the buffers are only
+    weight w * s and bias (-mean) * s + beta, and the buffers are only
     read.
     """
-    w, b, gamma, beta = (as_tensor(p.params[f"{name}.{k}"]) for k in ("w", "b", "bn.gamma", "bn.beta"))
+    w, gamma, beta = (as_tensor(p.params[f"{name}.{k}"]) for k in ("w", "bn.gamma", "bn.beta"))
     mean, var = p.buffers[f"{name}.bn.mean"], p.buffers[f"{name}.bn.var"]
-    if records((w, b, gamma, beta)):
-        h = L.batchnorm2d(layer(x, w, b), gamma, beta, mean, var)
+    if records((w, gamma, beta)):
+        h = L.batchnorm2d(layer(x, w, np.zeros_like(gamma.data)), gamma, beta, mean, var)
     else:
         dtype = gamma.dtype
         s = gamma.data * (1.0 / np.sqrt(var.astype(dtype) + L.BN_EPS))
         # output channels are axis 0 of a conv2d kernel, axis 1 of a deconv2d one
         s_w = s.reshape((1, -1, 1, 1) if layer is L.deconv2d else (-1, 1, 1, 1))
-        h = layer(x, w.data * s_w, (b.data - mean.astype(dtype)) * s + beta.data)
+        h = layer(x, w.data * s_w, (-mean.astype(dtype)) * s + beta.data)
     return L.prelu(h, p.params[f"{name}.prelu.a"])
 
 
 def crn_forward(x, p: CrnParams):
-    """Run the CRN on x: Tensor or array (C_in, T, freq_bins).
+    """Run the CRN on x: Tensor or array (C_in, T, FREQ_BINS).
 
-    Returns the (re, im) pair of (c_out / 2, T, freq_bins) tensors from
+    Returns the (re, im) pair of (c_out / 2, T, FREQ_BINS) tensors from
     the two decoder branches.
     """
     cfg = p.config
     x = as_tensor(x)
-    if x.ndim != 3 or x.shape[0] != cfg.c_in or x.shape[2] != cfg.freq_bins:
+    if x.ndim != 3 or x.shape[0] != cfg.c_in or x.shape[2] != FREQ_BINS:
         raise ValueError(
-            f"crn_forward expects ({cfg.c_in}, T, {cfg.freq_bins}) input, got {x.shape}"
+            f"crn_forward expects ({cfg.c_in}, T, {FREQ_BINS}) input, got {x.shape}"
         )
     t_len = x.shape[1]
     if t_len == 0:
@@ -190,7 +182,7 @@ def crn_forward(x, p: CrnParams):
     c6 = cfg.ladder[-1]
     fb = cfg.f_bottleneck
     seq = h.transpose(1, 0, 2).reshape(1, t_len, c6 * fb)
-    seq = L.lstm_seq(seq, p.params, LSTM_LAYERS)
+    seq = L.lstm_seq(seq, p.params)
     h = seq.reshape(t_len, c6, fb).transpose(1, 0, 2)
 
     outs = []

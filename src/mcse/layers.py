@@ -514,12 +514,14 @@ def init_lstm_params(rng: np.random.Generator, input_size: int, hidden_size: int
     return params
 
 
-def lstm_seq(x, params: dict, layers: int) -> Tensor:
+def lstm_seq(x, params: dict) -> Tensor:
     """Run a stacked bidirectional LSTM over x: (B, T, D).
 
     Returns (B, T, 2H), forward features first. Parameters are looked up
-    by the names produced by init_lstm_params.
+    by the names produced by init_lstm_params, and the stack runs every
+    layer they hold: one per lstm.l{k}.fw.w_ih key.
     """
+    layers = sum(k.startswith("lstm.l") and k.endswith(".fw.w_ih") for k in params)
     for layer in range(layers):
         fw, bw = (
             tuple(params[f"lstm.l{layer}.{dr}.{name}"] for name in ("w_ih", "w_hh", "b"))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import layers as L
 from . import runtime
-from .crn import CrnConfig, CrnParams, apply_crn_mask, crn_forward, init_crn_params
+from .crn import FREQ_BINS, CrnConfig, CrnParams, apply_crn_mask, crn_forward, init_crn_params
 from .dsp import (
     FFT_SIZE,
     FRAME_SIZE,
@@ -93,15 +93,13 @@ def init_spatial_params(p_channels: int, rng: np.random.Generator) -> dict:
     return params
 
 
-def init_two_stage_model(p_channels: int, width_scale=Fraction(1), freq_bins: int = 256,
+def init_two_stage_model(p_channels: int, width_scale=Fraction(1), *,
                          seed: int = 0) -> TwoStageModel:
     if p_channels < 1:
         raise ValueError("p_channels must be at least 1")
     rng = np.random.default_rng(seed)
-    stage1_cfg = CrnConfig(
-        c_in=2 * p_channels, c_out=2 * p_channels, width_scale=width_scale, freq_bins=freq_bins,
-    )
-    stage2_cfg = CrnConfig(c_in=4, c_out=2, width_scale=width_scale, freq_bins=freq_bins)
+    stage1_cfg = CrnConfig(c_in=2 * p_channels, c_out=2 * p_channels, width_scale=width_scale)
+    stage2_cfg = CrnConfig(c_in=4, c_out=2, width_scale=width_scale)
     return TwoStageModel(
         p_channels=p_channels,
         stage1=init_crn_params(stage1_cfg, rng),
@@ -116,10 +114,8 @@ def init_two_stage_model(p_channels: int, width_scale=Fraction(1), freq_bins: in
 def _check_spec(model: TwoStageModel, y: Spectrogram):
     if y.channels != model.p_channels:
         raise ValueError(f"model expects {model.p_channels} channels, got {y.channels}")
-    if y.bins != model.stage1.config.freq_bins:
-        raise ValueError(
-            f"model expects {model.stage1.config.freq_bins} bins, got {y.bins}"
-        )
+    if y.bins != FREQ_BINS:
+        raise ValueError(f"model expects {FREQ_BINS} bins, got {y.bins}")
 
 
 def stage1_tensors(y_re, y_im, model: TwoStageModel):
@@ -133,7 +129,7 @@ def _band_filter(s1_re, s1_im, p: dict):
     band features, layernorm, the shared LSTM and the head."""
     # (P, T, F) -> (F, T, P), then features (F, T, 2P), reals first
     x = concat([s1_re.transpose(2, 1, 0), s1_im.transpose(2, 1, 0)], axis=2)
-    h = L.lstm_seq(L.layernorm(x, p["ln.gamma"], p["ln.beta"]), p, SPATIAL_LAYERS)
+    h = L.lstm_seq(L.layernorm(x, p["ln.gamma"], p["ln.beta"]), p)
     return L.linear(h, p["fc.w"], p["fc.b"])
 
 

@@ -68,8 +68,11 @@ def load_training_set(manifest_path, channels: int | None = None) -> list:
     return out
 
 
-def _utterance_loss(utt: Utterance, model: TwoStageModel, stage: str,
+def _utterance_loss(data: list, i: int, model: TwoStageModel, stage: str,
                     cache: dict | None = None) -> Tensor:
+    """The loss of data[i]. In stage2, its frozen Stage I output is kept in
+    cache under i: uids need not be unique."""
+    utt = data[i]
     mix = utt.mix
     if stage == "stage1":
         est = stage1_tensors(mix.re, mix.im, model)
@@ -82,11 +85,11 @@ def _utterance_loss(utt: Utterance, model: TwoStageModel, stage: str,
         # Stage I is frozen: its output per utterance is a constant, run
         # once under no_grad and so with batchnorm in eval mode
         cache = {} if cache is None else cache
-        if utt.uid not in cache:
+        if i not in cache:
             with no_grad():
                 s1 = stage1_tensors(mix.re, mix.im, model)
-            cache[utt.uid] = (s1[0].data, s1[1].data)
-        f_re, f_im = spatial_tensors(*cache[utt.uid], model)
+            cache[i] = (s1[0].data, s1[1].data)
+        f_re, f_im = spatial_tensors(*cache[i], model)
         est = stage2_tensors(f_re, f_im, mix.re[0], mix.im[0], model)
     tgt = (as_tensor(utt.dry.re[0], np.float32), as_tensor(utt.dry.im[0], np.float32))
     return total_loss(est, tgt)
@@ -127,7 +130,7 @@ def _iterations(data, model, config, params, state):
             p.zero_grad()
         batch_loss = 0.0
         for i in idx:
-            loss = _utterance_loss(data[int(i)], model, config.stage, cache)
+            loss = _utterance_loss(data, int(i), model, config.stage, cache)
             # scale so accumulated grads average over the batch
             (loss * (1.0 / config.batch_size)).backward()
             batch_loss += loss.item() / config.batch_size

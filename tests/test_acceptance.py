@@ -23,7 +23,7 @@ from crn_trace import trace_crn
 from gradcheck import check_grads, numeric_grad, to_float64
 from mcse import layers as L
 from mcse.checkpoint import load_checkpoint, save_checkpoint
-from mcse.crn import CrnConfig, init_crn_params
+from mcse.crn import FREQ_BINS, CrnConfig, init_crn_params
 from mcse.dsp import TimeSignal, istft, stft
 from mcse.loss import mag_hurts_loss, ri_mag_loss, total_loss
 from mcse.metrics import challenge_metric, stoi
@@ -58,10 +58,10 @@ def band_limited(channels: int, length: int, keep: float = 0.6, seed: int = 0):
 
 def test_c1_full_width_shapes_and_parameter_count(monkeypatch):
     t0 = time.time()
-    cfg = CrnConfig(c_in=16, c_out=16, width_scale=Fraction(1), freq_bins=256)
+    cfg = CrnConfig(c_in=16, c_out=16, width_scale=Fraction(1))
     params = init_crn_params(cfg, np.random.default_rng(0))
     total = sum(t.data.size for t in params.params.values())
-    assert total == 14_235_520
+    assert total == 14_233_760
 
     trace, (re, im) = trace_crn(
         monkeypatch, rng.standard_normal((16, 4, 256)).astype(np.float32), params
@@ -121,12 +121,11 @@ def test_c2_finite_difference_gradients():
 
     # composed: whole two-stage forward into the training loss, float64,
     # sampled coordinates per parameter at relative 1e-3
-    model = to_float64(init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16),
-                                            freq_bins=64, seed=5))
-    y_re = 0.3 * r.standard_normal((2, 6, 64))
-    y_im = 0.3 * r.standard_normal((2, 6, 64))
-    t_re = 0.3 * r.standard_normal((6, 64))
-    t_im = 0.3 * r.standard_normal((6, 64))
+    model = to_float64(init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16), seed=5))
+    y_re = 0.3 * r.standard_normal((2, 6, FREQ_BINS))
+    y_im = 0.3 * r.standard_normal((2, 6, FREQ_BINS))
+    t_re = 0.3 * r.standard_normal((6, FREQ_BINS))
+    t_im = 0.3 * r.standard_normal((6, FREQ_BINS))
 
     def loss_value() -> float:
         s_re, s_im = stage1_tensors(Tensor(y_re), Tensor(y_im), model)
@@ -310,8 +309,7 @@ def test_c8_overfit_single_utterance(tmp_path):
     t0 = time.time()
     manifest = build_dataset(DatasetConfig(out_dir=tmp_path / "d", num_utterances=1,
                                            seconds=0.7, seed=11))
-    model = init_two_stage_model(p_channels=8, width_scale=Fraction(1, 8),
-                                 freq_bins=256, seed=0)
+    model = init_two_stage_model(p_channels=8, width_scale=Fraction(1, 8), seed=0)
     data = load_training_set(manifest)
 
     c1 = train(data, model, TrainConfig(batch_size=1, lr=1e-2, max_iters=150,
@@ -357,8 +355,7 @@ def test_c9_determinism(tmp_path):
 
     # same-seed training runs produce float-identical loss curves
     def run():
-        model = init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16),
-                                     freq_bins=256, seed=1)
+        model = init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16), seed=1)
         r = np.random.default_rng(100)
         sig = lambda ch: stft(TimeSignal(0.1 * r.standard_normal((ch, 4000)), 16000))
         from mcse.train import Utterance
@@ -370,8 +367,7 @@ def test_c9_determinism(tmp_path):
     assert run() == run()
 
     # checkpoint round trip is bit-exact
-    model = init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16),
-                                 freq_bins=256, seed=9)
+    model = init_two_stage_model(p_channels=2, width_scale=Fraction(1, 16), seed=9)
     save_checkpoint(tmp_path / "m.bin", model)
     loaded, _, _ = load_checkpoint(tmp_path / "m.bin")
     for name, t in model.named_params().items():

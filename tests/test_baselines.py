@@ -470,15 +470,15 @@ class TestFilterSum:
     summed over channels."""
 
     def test_model_collapses_channels(self):
-        model = init_two_stage_model(2, Fraction(1, 16), 64, seed=0)
-        y = rng.standard_normal((2, 4, 64)) + 1j * rng.standard_normal((2, 4, 64))
-        spec = Spectrogram(y.real, y.imag, 128, 16, 128, 16000)
+        model = init_two_stage_model(2, Fraction(1, 16), seed=0)
+        y = rng.standard_normal((2, 4, 256)) + 1j * rng.standard_normal((2, 4, 256))
+        spec = Spectrogram(y.real, y.imag, 512, 64, 512, 16000)
         out = filter_and_sum(spec, model)
         assert out.channels == 1
-        assert out.re.shape == (1, 4, 64)
+        assert out.re.shape == (1, 4, 256)
 
     def test_channel_mismatch_raises(self):
-        model = init_two_stage_model(2, Fraction(1, 16), 64, seed=0)
-        spec = Spectrogram(np.zeros((3, 4, 64)), np.zeros((3, 4, 64)), 128, 16, 128, 16000)
+        model = init_two_stage_model(2, Fraction(1, 16), seed=0)
+        spec = Spectrogram(np.zeros((3, 4, 256)), np.zeros((3, 4, 256)), 512, 64, 512, 16000)
         with pytest.raises(ValueError, match="model expects 2 channels, got 3"):
             filter_and_sum(spec, model)

@@ -384,7 +384,7 @@ class TestLstm:
     def test_bidirectional_is_concat_of_reversed_runs(self):
         params = to_float64(L.init_lstm_params(rng, 4, 3, layers=1))
         x = r(2, 5, 4)
-        out = L.lstm_seq(x, params, layers=1).data
+        out = L.lstm_seq(x, params).data
 
         fw = lstm_steps(x, *(params[f"lstm.l0.fw.{n}"].data for n in ("w_ih", "w_hh", "b")))
         bw = lstm_steps(x[:, ::-1], *(params[f"lstm.l0.bw.{n}"].data
@@ -533,8 +533,23 @@ class TestLstm:
 
     def test_stacked_shapes(self):
         params = to_float64(L.init_lstm_params(rng, 6, 4, layers=2))
-        out = L.lstm_seq(r(3, 7, 6), params, layers=2)
+        out = L.lstm_seq(r(3, 7, 6), params)
         assert out.shape == (3, 7, 8)
+
+    def test_runs_every_stored_layer(self):
+        """The depth is the number of layers the parameters hold: three
+        stored layers run as three lstm_cell_seq calls, in order."""
+        params = to_float64(L.init_lstm_params(rng, 6, 4, layers=3))
+        x = r(2, 5, 6)
+        want = x
+        for k in range(3):
+            fw, bw = (tuple(params[f"lstm.l{k}.{dr}.{n}"] for n in ("w_ih", "w_hh", "b"))
+                      for dr in ("fw", "bw"))
+            want = L.lstm_cell_seq(want, fw, bw)
+        assert L.lstm_seq(x, params).data.tobytes() == want.data.tobytes()
+        del params["lstm.l1.fw.w_ih"]
+        with pytest.raises(KeyError, match="lstm.l1.fw.w_ih"):
+            L.lstm_seq(x, params)
 
     def test_grad_through_bidirectional_stack(self):
         params = to_float64(L.init_lstm_params(rng, 3, 2, layers=2))
@@ -543,7 +558,7 @@ class TestLstm:
 
         def loss(xx, *ps):
             pdict = dict(zip(names, ps))
-            return (L.lstm_seq(xx, pdict, layers=2) ** 2).sum()
+            return (L.lstm_seq(xx, pdict) ** 2).sum()
 
         check_grads(loss, [x] + [params[n].data for n in names], rtol=1e-3)
 

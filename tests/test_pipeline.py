@@ -14,7 +14,7 @@ import pytest
 
 from mcse import layers as L
 from mcse import runtime
-from mcse.crn import crn_forward
+from mcse.crn import FREQ_BINS, crn_forward
 from mcse.dsp import Spectrogram, TimeSignal
 from mcse.pipeline import (
     SPATIAL_BAND_BLOCK,
@@ -35,15 +35,14 @@ from mcse.tensor import Tensor, no_grad
 
 rng = np.random.default_rng(17)
 
-TOY_BINS = 64
 TOY_WIDTH = Fraction(1, 16)
 
 
 def toy_model(p=2, seed=0):
-    return init_two_stage_model(p, TOY_WIDTH, TOY_BINS, seed=seed)
+    return init_two_stage_model(p, TOY_WIDTH, seed=seed)
 
 
-def toy_spec(p=2, t=4, bins=TOY_BINS):
+def toy_spec(p=2, t=4, bins=FREQ_BINS):
     re = rng.standard_normal((p, t, bins)).astype(np.float32)
     im = rng.standard_normal((p, t, bins)).astype(np.float32)
     return Spectrogram(re, im, 2 * bins, bins // 2, 2 * bins, 16000)
@@ -73,18 +72,22 @@ class TestStageOne:
         with pytest.raises(ValueError):
             stage1_mimo(toy_spec(p=3), model)
 
+    def test_rejects_other_bin_count(self):
+        with pytest.raises(ValueError, match=f"^model expects {FREQ_BINS} bins, got 128$"):
+            stage1_mimo(toy_spec(bins=128), toy_model())
+
 
 class TestSpatialFilter:
     def test_band_permutation_equivariance(self):
         """The filter treats bands as batch items: permuting input bands
         permutes the output identically."""
         model = toy_model()
-        s_re = Tensor(rng.standard_normal((2, 5, TOY_BINS)).astype(np.float32))
-        s_im = Tensor(rng.standard_normal((2, 5, TOY_BINS)).astype(np.float32))
+        s_re = Tensor(rng.standard_normal((2, 5, FREQ_BINS)).astype(np.float32))
+        s_im = Tensor(rng.standard_normal((2, 5, FREQ_BINS)).astype(np.float32))
         with no_grad():
             f_re, f_im = spatial_tensors(s_re, s_im, model)
 
-        perm = np.random.default_rng(0).permutation(TOY_BINS)
+        perm = np.random.default_rng(0).permutation(FREQ_BINS)
         with no_grad():
             p_re, p_im = spatial_tensors(
                 Tensor(s_re.data[:, :, perm]), Tensor(s_im.data[:, :, perm]), model
@@ -95,8 +98,8 @@ class TestSpatialFilter:
     def test_single_band_matches_full_run(self):
         # running one band alone gives the same answer as in the batch
         model = toy_model()
-        s_re = rng.standard_normal((2, 6, TOY_BINS)).astype(np.float32)
-        s_im = rng.standard_normal((2, 6, TOY_BINS)).astype(np.float32)
+        s_re = rng.standard_normal((2, 6, FREQ_BINS)).astype(np.float32)
+        s_im = rng.standard_normal((2, 6, FREQ_BINS)).astype(np.float32)
         with no_grad():
             f_re, _ = spatial_tensors(Tensor(s_re), Tensor(s_im), model)
             one_re, _ = spatial_tensors(
@@ -111,7 +114,7 @@ class TestSpatialFilter:
         outputs are the same bytes. T 16 ends on a projection-block edge
         and T 17 crosses one."""
         assert SPATIAL_BAND_BLOCK == 128 and L._CHUNK_ROWS // SPATIAL_BAND_BLOCK == 16
-        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=1)
+        model = toy_model(2, seed=1)
         s_re, s_im = (rng.standard_normal((2, t_, 256)).astype(np.float32) for _ in range(2))
         recorded = spatial_tensors(s_re, s_im, model)
         assert all(t.requires_grad for t in recorded)
@@ -126,7 +129,7 @@ class TestSpatialFilter:
         two (256, T, 128) float32 layer outputs that one block of every
         band would hold."""
         t_ = 120
-        model = init_two_stage_model(8, TOY_WIDTH, 256, seed=1)
+        model = toy_model(8, seed=1)
         s_re, s_im = (rng.standard_normal((8, t_, 256)).astype(np.float32) for _ in range(2))
         tracemalloc.start()
         try:
@@ -154,10 +157,10 @@ class TestStageTwo:
     def test_input_packing_order(self):
         """Stage two must see [filtered_re, ref_re, filtered_im, ref_im]."""
         model = toy_model()
-        f_re = rng.standard_normal((4, TOY_BINS)).astype(np.float32)
-        f_im = rng.standard_normal((4, TOY_BINS)).astype(np.float32)
-        y0_re = rng.standard_normal((4, TOY_BINS)).astype(np.float32)
-        y0_im = rng.standard_normal((4, TOY_BINS)).astype(np.float32)
+        f_re = rng.standard_normal((4, FREQ_BINS)).astype(np.float32)
+        f_im = rng.standard_normal((4, FREQ_BINS)).astype(np.float32)
+        y0_re = rng.standard_normal((4, FREQ_BINS)).astype(np.float32)
+        y0_im = rng.standard_normal((4, FREQ_BINS)).astype(np.float32)
 
         with no_grad():
             e_re, e_im = stage2_tensors(Tensor(f_re), Tensor(f_im), y0_re, y0_im, model)
@@ -180,40 +183,40 @@ class TestStageTwo:
 
 class TestEnhance:
     def test_shapes_and_rate(self):
-        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        model = toy_model(2, seed=0)
         x = TimeSignal(rng.standard_normal((2, 3000)), 16000)
         out = enhance(x, model)
         assert out.samples.shape == (1, 3000)
         assert out.sample_rate == 16000
 
     def test_deterministic(self):
-        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        model = toy_model(2, seed=0)
         x = TimeSignal(rng.standard_normal((2, 2000)), 16000)
         a = enhance(x, model)
         b = enhance(x, model)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_rejects_wrong_rate(self):
-        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        model = toy_model(2, seed=0)
         with pytest.raises(ValueError):
             enhance(TimeSignal(rng.standard_normal((2, 2000)), 8000), model)
 
     def test_rejects_wrong_channels(self):
-        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        model = toy_model(2, seed=0)
         with pytest.raises(ValueError):
             enhance(TimeSignal(rng.standard_normal((3, 2000)), 16000), model)
 
     def test_trims_the_heap_once_per_call(self, monkeypatch):
         calls = []
         monkeypatch.setattr(runtime, "malloc_trim", calls.append)
-        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        model = toy_model(2, seed=0)
         for n in (1, 2):
             enhance(TimeSignal(rng.standard_normal((2, 2000)), 16000), model)
             assert calls == [0] * n
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_samples(self, bad):
-        model = init_two_stage_model(2, TOY_WIDTH, 256, seed=0)
+        model = toy_model(2, seed=0)
         samples = rng.standard_normal((2, 2000))
         samples[1, 700] = bad
         samples[0, 1500] = bad  # later in time, so not the one named
@@ -242,10 +245,3 @@ class TestModelContainer:
         named = model.named_params()
         total = len(model.stage1.params) + len(model.spatial) + len(model.stage2.params)
         assert len(named) == total
-
-    @pytest.mark.parametrize("freq_bins", [0, -64, 100])
-    def test_bins_not_a_positive_multiple_of_64_raise(self, freq_bins):
-        """Refused by name before any layer is built from them."""
-        with pytest.raises(ValueError, match=f"^freq_bins must be a positive multiple of 64, "
-                                             f"got {freq_bins}$"):
-            init_two_stage_model(1, 1, freq_bins=freq_bins)
