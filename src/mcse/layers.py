@@ -13,6 +13,8 @@ float32 parameters.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .runtime import pair
@@ -293,15 +295,11 @@ def _lstm_hidden(x, w_ih, w_hh, b) -> int:
     return h_size
 
 
-def _project(x, w_ih, b, t0, block):
-    """Write the input projection plus b of x's steps from t0 into the
-    time-major gate block (n, B, 4H); returns those steps' time-major
-    (n * B, D) input rows."""
-    n, bsz, four_h = block.shape
-    x_tm = x[:, t0 : t0 + n].transpose(1, 0, 2).reshape(n * bsz, x.shape[2])
-    np.matmul(x_tm, w_ih.T, out=block.reshape(n * bsz, four_h))
+def _project(x_tm, w_ih, b, block):
+    """Write the input projection plus b of the time-major input rows x_tm
+    (n * B, D) into the gate block (n, B, 4H)."""
+    np.matmul(x_tm, w_ih.T, out=block.reshape(len(x_tm), block.shape[2]))
     block += b
-    return x_tm
 
 
 def _step_gates(z, t, hs, w_hh_t, rec, scale, shift):
@@ -329,7 +327,7 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     gate buffer, which holds the last block's activated gates. Without it
     None is returned.
     """
-    bsz, t_len, _ = x.shape
+    bsz, t_len, d_in = x.shape
     four_h = w_ih.shape[0]
     h_size = four_h // 4
     dtype = x.dtype
@@ -346,10 +344,11 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     rec = np.empty((bsz, four_h), dtype=dtype)
     for t0 in range(0, t_len, chunk):
         block = gates[: min(chunk, t_len - t0)]
-        _project(x, w_ih, b, t0, block)
+        n = len(block)
+        _project(x[:, t0 : t0 + n].transpose(1, 0, 2).reshape(n * bsz, d_in), w_ih, b, block)
         if keep and t0 > 0:
             starts[t0 // chunk] = cells[(t0 - 1) % 2]
-        for t in range(t0, t0 + len(block)):
+        for t in range(t0, t0 + n):
             z = _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
             c = cells[t % 2]
             np.multiply(z[:, sl_i], z[:, sl_g], out=c)
@@ -360,9 +359,11 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     return (x, w_ih, w_hh, b, gates, starts, hs) if keep else None
 
 
-def _lstm_backward(cache, grad):
+def _lstm_backward(cache, grad, dx, lock):
     """BPTT through one _lstm_forward(keep=True) direction for grad (B, T,
-    H) of its h. Returns (dx, dw_ih, dw_hh, db).
+    H) of its h. Adds the direction's input gradient into dx, a time-major
+    (T, B, D) view, block by block under lock, so the other direction may
+    add into the same buffer at the same time. Returns (dw_ih, dw_hh, db).
 
     Walks the forward's gate blocks from last to first. The last block's
     gates are still in the gate buffer; every other block's are computed
@@ -392,16 +393,18 @@ def _lstm_backward(cache, grad):
     g_tm = grad.transpose(1, 0, 2)
     dh_next = np.zeros((bsz, h_size), dtype=grad.dtype)
     dc_next = np.zeros_like(dh_next)
-    dx = np.empty((t_len, bsz, d_in), dtype=np.result_type(gates, w_ih))
+    rows = np.empty((chunk, bsz, d_in), dtype=np.result_type(gates, w_ih))
     sums = None
     last = (t_len - 1) // chunk * chunk
     for t0 in range(last, -1, -chunk):
         block = gates[: min(chunk, t_len - t0)]
         n = len(block)
-        if t0 == last:
-            x_tm = x[:, t0:].transpose(1, 0, 2).reshape(n * bsz, d_in)
-        else:
-            x_tm = _project(x, w_ih, b, t0, block)
+        # the block's time-major input rows stay in rows until block @ w_ih
+        # replaces them
+        rows[:n] = x[:, t0 : t0 + n].transpose(1, 0, 2)
+        x_tm = rows[:n].reshape(n * bsz, d_in)
+        if t0 != last:
+            _project(x_tm, w_ih, b, block)
             for t in range(t0, t0 + n):
                 _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
         cells[0] = starts[t0 // chunk]
@@ -422,17 +425,21 @@ def _lstm_backward(cache, grad):
             z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o] = d_i, d_f, d_g, d_o
             dh_next = z @ w_hh
         dz2 = block.reshape(n * bsz, four_h)
-        # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
+        # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh; the
+        # block's cells are spent, so its h_prev rows are copied over them
         skip = bsz if t0 == 0 else 0
-        h_prev = hs[max(t0 - 1, 0) : t0 + n - 1].reshape(-1, h_size)
-        parts = (dz2.T @ x_tm, dz2[skip:].T @ h_prev, dz2.sum(axis=0))
+        h_prev = cells[: n - (t0 == 0)]
+        h_prev[...] = hs[max(t0 - 1, 0) : t0 + n - 1]
+        parts = (dz2.T @ x_tm, dz2[skip:].T @ h_prev.reshape(-1, h_size), dz2.sum(axis=0))
         if sums is None:
             sums = parts
         else:
             for s, p in zip(sums, parts):
                 s += p
-        np.matmul(block, w_ih, out=dx[t0 : t0 + n])
-    return (dx.transpose(1, 0, 2), *sums)
+        np.matmul(block, w_ih, out=rows[:n])
+        with lock:
+            dx[t0 : t0 + n] += rows[:n]
+    return sums
 
 
 def lstm_cell_seq(x, fw, bw) -> Tensor:
@@ -448,14 +455,16 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     one-thread worker runs bw, with BLAS held to one thread until both are
     done (runtime.pair). Without numpy's OpenBLAS thread controls, or with fewer
     than 2 CPUs, both run here one after the other, through the same
-    kernels and to the same bytes. Gradients are accumulated on the calling
-    thread only. Under no_grad the forward keeps no per-step history.
-    Otherwise it keeps, per direction, one block of gates and the one cell
-    before each block starts, and the node's backward recomputes the other
-    blocks' gates from x, h and the weights, rebuilds every block's cells
-    from its start cell, and spends the cache (_lstm_backward writes its
-    gate derivatives over the block), so it runs once, as the tape runs
-    every node. A sequence of no steps is refused.
+    kernels and to the same bytes. In the backward both threads add their
+    input gradient into one dx under a lock; the weight gradients are
+    accumulated on the calling thread only. Under no_grad the forward
+    keeps no per-step history. Otherwise it keeps, per direction, one
+    block of gates and the one cell before each block starts, and the
+    node's backward recomputes the other blocks' gates from x, h and the
+    weights, rebuilds every block's cells from its start cell, and spends
+    the cache (_lstm_backward writes its gate derivatives over the block),
+    so it runs once, as the tape runs every node. A sequence of no steps
+    is refused.
 
     The name is the one the single-direction op had: perfbench/tracing.py
     wraps this function by name, so its spatial and CRN LSTM spans go on
@@ -484,18 +493,21 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
         # both halves run in the output's dtype: a grad of another dtype is
         # cast once, as a whole, and one of that dtype is used as it comes
         grad = grad.astype(out.dtype, copy=False)
-        (dx, *d_fw), (dx_bw, *d_bw) = pair(
-            lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw]),
-            lambda: _lstm_backward(cache_bw, grad[:, ::-1, h_fw:]),
+        # one time-major dx for both directions, bw's reversed in time. Each
+        # adds its blocks into it; -0.0 + a is a bit for bit and a + b is
+        # b + a, so in either order it holds the bytes of dx_fw + dx_bw
+        dx = np.full((t_len, bsz, x.shape[2]), -0.0,
+                     dtype=np.result_type(x.data, w_fw[0], w_bw[0]))
+        lock = threading.Lock()
+        d_fw, d_bw = pair(
+            lambda: _lstm_backward(cache_fw, grad[:, :, :h_fw], dx, lock),
+            lambda: _lstm_backward(cache_bw, grad[:, ::-1, h_fw:], dx[::-1], lock),
         )
         # the spent gate blocks and start cells go before the sums below allocate
         cache_fw = cache_bw = None
         for p, g in zip(parents[1:], d_fw + d_bw):
             _accum(p, g)
-        dx += dx_bw[:, ::-1]
-        # the bw half goes before _accum copies dx
-        del dx_bw
-        _accum(x, dx)
+        _accum(x, dx.transpose(1, 0, 2))
 
     return make_node(out, parents, backward)
 

@@ -8,6 +8,13 @@ backward has run, its closure, its links to its parents and its .grad are
 dropped, so only the leaves (tensors made with requires_grad=True) and
 the root keep a gradient after backward() returns.
 
+The tape copies no gradient. _accum stores the first array it is handed
+for a tensor as that tensor's .grad, so tensors may share one array (both
+operands of an add get the same one). That is safe because every backward
+hands _accum a fresh array or a view of its own incoming g, and nothing
+writes into a gradient in place: a second gradient rebinds .grad to
+.grad + g, and the optimizer only reads .grad.
+
 float32 is the production dtype; tests run the same graph in float64 for
 finite-difference comparisons. A Python or 0-d scalar operand of add, sub
 or mul takes the dtype of the Tensor it meets, so `x + 1e-8` or `2.0 * x`
@@ -186,10 +193,15 @@ def _topo_order(root: Tensor):
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add g to t.grad, taking ownership of g: the first gradient becomes
+    t.grad itself, with no copy, and a later one rebinds t.grad to
+    t.grad + g. g must be a fresh array or a view of the calling backward's
+    own incoming gradient, and no one may write into it afterwards; the
+    module docstring gives the contract."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, copy=True)
+        t.grad = g
     else:
         t.grad = t.grad + g
 

@@ -7,6 +7,7 @@ against central finite differences.
 
 import multiprocessing
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mcse.layers as L
+from mcse import runtime
 from mcse.tensor import Tensor, no_grad
 
 from gradcheck import check_grads, to_float64
@@ -439,6 +441,40 @@ class TestLstm:
             rtol=1e-3,
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b_", [256, 1])
+    @pytest.mark.parametrize("t_", [7, 9, 10])
+    def test_input_gradient_is_the_two_buffer_sum(self, monkeypatch, t_, b_, dtype):
+        """x's gradient, which both directions add into one -0.0-filled
+        buffer, has the bytes, zero signs included, of dx_fw + dx_bw
+        reversed in time, each direction's dx taken from that direction run
+        on its own into a buffer of its own. 3-step gate blocks, so T 7, 9
+        and 10 end on a partial block, a whole one and a 1-step one."""
+        assert (np.float64(-0.0) + np.array([0.0, -0.0, 1.5, -np.inf])).tobytes() == \
+            np.array([0.0, -0.0, 1.5, -np.inf]).tobytes()
+        monkeypatch.setattr(L, "_CHUNK_ROWS", 3 * b_)
+        d_, h_ = 5, 4
+        x = r(b_, t_, d_).astype(dtype)
+        fw, bw = ([w.astype(dtype) for w in lstm_triple(h_, d_, 0.5)] for _ in range(2))
+        g = r(b_, t_, 2 * h_).astype(dtype)
+        # zero gradients and a zero input column, so dx has zeros to sign
+        g[:, 1] = 0.0
+        fw[0][:, 2] = -0.0
+        bw[0][:, 2] = 0.0
+
+        def direction(xd, w, gd):
+            cache = L._lstm_forward(xd, *w, np.empty(gd.shape, dtype), keep=True)
+            dx = np.full((t_, b_, d_), -0.0, dtype=dtype)
+            L._lstm_backward(cache, gd, dx, threading.Lock())
+            return dx.transpose(1, 0, 2)
+
+        want = direction(x, fw, g[:, :, :h_]) + direction(x[:, ::-1], bw, g[:, ::-1, h_:])[:, ::-1]
+        ts = [Tensor(a.copy(), requires_grad=True) for a in (x, *fw, *bw)]
+        out = L.lstm_cell_seq(ts[0], ts[1:4], ts[4:])
+        (out * Tensor(g)).sum().backward()
+        assert ts[0].grad.dtype == want.dtype == dtype
+        assert ts[0].grad.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("t_", [1, 9, 10])
     def test_gate_blocks_match_one_block(self, monkeypatch, t_):
         """A backward that recomputes its gates block by block gives the
@@ -489,6 +525,34 @@ class TestLstm:
         # (0.5 MB): 13 MB in all. With each direction's cells as well it
         # would hold 21 MB.
         assert held < gate_history
+
+    def test_backward_holds_one_input_gradient(self, monkeypatch):
+        """Both directions add into one dx, which becomes x's gradient with
+        no copy. So the backward of a layer at B 256, T 64, D 128, H 64
+        peaks, above what it starts with, under 1.5 (T, B, D) float32
+        buffers (8.4 MB each) on one thread, and under 2 with bw on the
+        worker, where each direction's block scratch (its block's input
+        rows, cells and step temporaries: about 3 MB at any T) is live at
+        once. A dx per direction, summed and then copied, held about 3."""
+        b_, t_, d_, h_ = 256, 64, 128, 64
+        dx_bytes = t_ * b_ * d_ * 4
+
+        def peak():
+            ts = [Tensor(a.astype(np.float32), requires_grad=True)
+                  for a in (r(b_, t_, d_), *lstm_triple(h_, d_, 0.1), *lstm_triple(h_, d_, 0.1))]
+            g = r(b_, t_, 2 * h_).astype(np.float32)
+            out = L.lstm_cell_seq(ts[0], ts[1:4], ts[4:])
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                out._backward(g)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < 2 * dx_bytes
+        monkeypatch.setattr(runtime, "_BW_WORKER", None)
+        assert peak() < 1.5 * dx_bytes
 
     @pytest.mark.parametrize("recorded", [True, False])
     def test_empty_sequence_is_refused(self, recorded):

@@ -226,3 +226,67 @@ class TestTapeFreeing:
         loss.backward()
         assert seen == [None]
         np.testing.assert_array_equal(x.grad, 3.0)
+
+
+class TestTapeOwnership:
+    """_accum stores the first gradient it is handed as the tensor's .grad,
+    with no copy; tensors may then share one array, which is safe only
+    while nothing writes into a gradient in place."""
+
+    def test_backward_array_becomes_the_leaf_grad(self):
+        x = Tensor(r(3), requires_grad=True)
+        handed = []
+
+        def backward(g):
+            handed.append(g * 2.0)
+            _accum(x, handed[0])
+
+        make_node(x.data * 2.0, (x,), backward).sum().backward()
+        assert x.grad is handed[0]
+
+    def test_rebinding_one_leaf_leaves_a_sharer_alone(self):
+        """add hands both operands the same array; the second backward
+        rebinds each leaf's gradient instead of adding into the shared one,
+        which would leave the other leaf at 3."""
+        a = Tensor(np.zeros((2, 3)), requires_grad=True)
+        b = Tensor(np.zeros((2, 3)), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is b.grad
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
+
+    # each op of tensor.py, as a function of two (3, 4) inputs
+    OPS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "power": lambda a, b: (a * a + 1.0) ** 1.5,
+        "relu": lambda a, b: relu(a),
+        "magnitude": lambda a, b: magnitude(a, b),
+        "reshape": lambda a, b: a.reshape(4, 3),
+        "transpose": lambda a, b: a.transpose(1, 0),
+        "take": lambda a, b: a[1:, ::-2],
+        "concat": lambda a, b: concat([a, b, a], axis=1),
+        "sum": lambda a, b: a.sum(),
+        "sum_axis": lambda a, b: b.sum(axis=0),
+        "mean": lambda a, b: a.mean(),
+        "mean_axis": lambda a, b: b.mean(axis=1),
+    }
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_every_op_with_shared_gradients(self, op):
+        """Each op's output feeds two nodes and each input feeds the op and
+        a node of its own, so every gradient that is handed on as a view
+        is later summed with another by rebinding."""
+        f = self.OPS[op]
+
+        def loss(a, b):
+            y = f(a, b)
+            w = np.cos(np.arange(y.size)).reshape(y.shape)
+            return (y * w).sum() + (y * y).sum() + (a * b).sum() + b.sum()
+
+        a, b = r(3, 4), r(3, 4)
+        a[np.abs(a) < 1e-3] += 0.1  # off relu's kink
+        check_grads(loss, [a, b])
