@@ -82,6 +82,8 @@ def conv2d(x, w, b) -> Tensor:
         _accum(b, g.sum(axis=(1, 2)))
         g2 = g.reshape(c_out, t_len * f_out)
         _accum(w, (g2 @ _taps(x.data, f_out).T).reshape(w.shape))
+        if not x.requires_grad:  # a constant input, such as the mixture planes
+            return
         dcols = (w2.T @ g2).reshape(c_in, 3, t_len, f_out)
         # the adjoint of _taps, summed in the tap order 0, 1, 2 in x's dtype
         dx = np.zeros_like(x.data)
@@ -193,6 +195,8 @@ def layernorm(x, gamma, beta) -> Tensor:
         lead = tuple(range(g.ndim - 1))
         _accum(gamma, (g * xhat).sum(axis=lead))
         _accum(beta, g.sum(axis=lead))
+        if not x.requires_grad:  # a constant input, such as frozen Stage I output
+            return
         gx = g * gamma.data
         s1 = gx.sum(axis=-1, keepdims=True)
         s2 = (gx * xhat).sum(axis=-1, keepdims=True)
@@ -257,7 +261,7 @@ def linear(x, w, b) -> Tensor:
 # sequence of a CRN bottleneck (batch 1) up to T 2048, where smaller blocks
 # would re-read its large w_ih. A forward holds one block of gates; the
 # backward of a recorded one recomputes every block but the last, and
-# rebuilds each block's cells from the one cell kept per block.
+# rebuilds each block's cells and h from the one cell and h kept per block.
 _CHUNK_ROWS = 2048
 
 
@@ -302,11 +306,12 @@ def _project(x_tm, w_ih, b, block):
     block += b
 
 
-def _step_gates(z, t, hs, w_hh_t, rec, scale, shift):
-    """Step t's gates, activated in place over its projected row z once
-    h[t - 1] @ w_hh.T is added through the scratch row rec."""
-    if t > 0:
-        np.matmul(hs[t - 1], w_hh_t, out=rec)
+def _step_gates(z, h_prev, w_hh_t, rec, scale, shift):
+    """A step's gates, activated in place over its projected row z once
+    h_prev @ w_hh.T is added through the scratch row rec. h_prev is None
+    at step 0, whose previous hidden state is zero."""
+    if h_prev is not None:
+        np.matmul(h_prev, w_hh_t, out=rec)
         z += rec
     return _activate_gates(z, scale, shift)
 
@@ -321,11 +326,12 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     row in place with one tanh (_activate_gates). Cell state is a 2-deep
     time-major ring, so every step reads and writes contiguous slabs;
     tanh(cell) goes through one (B, H) scratch buffer. With keep, the cell
-    of the step before each block starts is kept as well (entry 0 stays
-    unset: step 0 adds no previous cell), and the cache for _lstm_backward
-    is returned: the inputs, those (n_blocks, B, H) start cells, h, and the
-    gate buffer, which holds the last block's activated gates. Without it
-    None is returned.
+    and the h of the step before each block starts are kept as well, side
+    by side in one (n_blocks, 2, B, H) array (entry 0 stays unset: step 0
+    adds no previous state), and the cache for _lstm_backward is returned:
+    the inputs, those start states and the gate buffer, which holds the
+    last block's activated gates. The cache holds no reference to out.
+    Without keep None is returned.
     """
     bsz, t_len, d_in = x.shape
     four_h = w_ih.shape[0]
@@ -336,7 +342,7 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
     chunk = max(_CHUNK_ROWS // max(bsz, 1), 1)
     gates = np.empty((min(chunk, t_len), bsz, four_h), dtype=np.result_type(x, w_ih))
     cells = np.empty((2, bsz, h_size), dtype=dtype)
-    starts = np.empty((-(-t_len // chunk), bsz, h_size), dtype=dtype) if keep else None
+    starts = np.empty((-(-t_len // chunk), 2, bsz, h_size), dtype=dtype) if keep else None
     tc = np.empty((bsz, h_size), dtype=dtype)
     hs = out.transpose(1, 0, 2)
     w_hh_t = w_hh.T  # a view: BLAS reads it transposed, with no per-call copy
@@ -347,16 +353,17 @@ def _lstm_forward(x, w_ih, w_hh, b, out, keep):
         n = len(block)
         _project(x[:, t0 : t0 + n].transpose(1, 0, 2).reshape(n * bsz, d_in), w_ih, b, block)
         if keep and t0 > 0:
-            starts[t0 // chunk] = cells[(t0 - 1) % 2]
+            starts[t0 // chunk, 0] = cells[(t0 - 1) % 2]
+            starts[t0 // chunk, 1] = hs[t0 - 1]
         for t in range(t0, t0 + n):
-            z = _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
+            z = _step_gates(block[t - t0], hs[t - 1] if t > 0 else None, w_hh_t, rec, scale, shift)
             c = cells[t % 2]
             np.multiply(z[:, sl_i], z[:, sl_g], out=c)
             if t > 0:
                 c += z[:, sl_f] * cells[(t - 1) % 2]
             np.tanh(c, out=tc)
             np.multiply(z[:, sl_o], tc, out=hs[t])
-    return (x, w_ih, w_hh, b, gates, starts, hs) if keep else None
+    return (x, w_ih, w_hh, b, gates, starts) if keep else None
 
 
 def _lstm_backward(cache, grad, dx, lock):
@@ -365,21 +372,21 @@ def _lstm_backward(cache, grad, dx, lock):
     (T, B, D) view, block by block under lock, so the other direction may
     add into the same buffer at the same time. Returns (dw_ih, dw_hh, db).
 
-    Walks the forward's gate blocks from last to first. The last block's
-    gates are still in the gate buffer; every other block's are computed
-    again into it from x, h and the weights, through the forward's own
-    ops in its order, so they are the same bytes. The block's cells are
-    then rebuilt from its kept start cell into a (chunk + 1, B, H) scratch
-    through the forward's ops: i * g, over the whole block at once, then
-    each step's f * c_prev added in time order. Every element rounds as in
-    the forward, so they are the same bytes as well. Each step's gate
-    pre-activation derivatives dz are then written over that step's
+    Never reads the forward's output. Walks the forward's gate blocks from
+    last to first and rebuilds each block's states from the cell and h
+    kept before it, step by step in time order through the forward's own
+    ops: the gates (every block's but the last's, which are still in the
+    gate buffer) again into the gate buffer from x, the previous h and the
+    weights; the cell, i * g plus f * c_prev, into a (chunk + 1, B, H)
+    scratch; h, tanh(cell) * o, into a (chunk, B, H) one (the block's last
+    h is never needed). Every element rounds as in the forward (a product
+    is the same bytes in either order, and tanh reads and writes
+    contiguous slabs as there), so they are the same bytes. Each step's
+    gate pre-activation derivatives dz are then written over that step's
     activated gate row, which no later (earlier in time) step reads, and
     the block's share of dw_ih, dw_hh and db and its rows of dx are taken
-    from them. So the cache is spent and cannot be used again. tanh(cell)
-    is computed again, from a contiguous cell slab through the same ufunc
-    as the forward, so it is the same bytes."""
-    x, w_ih, w_hh, b, gates, starts, hs = cache
+    from them. So the cache is spent and cannot be used again."""
+    x, w_ih, w_hh, b, gates, starts = cache
     bsz, t_len, d_in = x.shape
     chunk, _, four_h = gates.shape
     h_size = four_h // 4
@@ -388,8 +395,10 @@ def _lstm_backward(cache, grad, dx, lock):
     w_hh_t = w_hh.T
     scale, shift = _gate_constants(h_size, starts.dtype)
     rec = np.empty((bsz, four_h), dtype=starts.dtype)
-    # cells[k] is the cell of step t0 + k - 1 of the block being walked
+    # cells[k] and hs[k] are the cell and h of step t0 + k - 1 of the block
+    # being walked; the h of its last step is never needed
     cells = np.empty((chunk + 1, bsz, h_size), dtype=starts.dtype)
+    hs = np.empty((chunk, bsz, h_size), dtype=starts.dtype)
     g_tm = grad.transpose(1, 0, 2)
     dh_next = np.zeros((bsz, h_size), dtype=grad.dtype)
     dc_next = np.zeros_like(dh_next)
@@ -403,14 +412,21 @@ def _lstm_backward(cache, grad, dx, lock):
         # replaces them
         rows[:n] = x[:, t0 : t0 + n].transpose(1, 0, 2)
         x_tm = rows[:n].reshape(n * bsz, d_in)
-        if t0 != last:
+        recompute = t0 != last
+        if recompute:
             _project(x_tm, w_ih, b, block)
-            for t in range(t0, t0 + n):
-                _step_gates(block[t - t0], t, hs, w_hh_t, rec, scale, shift)
-        cells[0] = starts[t0 // chunk]
-        np.multiply(block[:, :, sl_i], block[:, :, sl_g], out=cells[1 : n + 1])
-        for t in range(max(t0, 1), t0 + n):
-            cells[t - t0 + 1] += block[t - t0, :, sl_f] * cells[t - t0]
+        cells[0], hs[0] = starts[t0 // chunk]
+        for t in range(t0, t0 + n):
+            k = t - t0
+            z = block[k]
+            if recompute:
+                _step_gates(z, hs[k] if t > 0 else None, w_hh_t, rec, scale, shift)
+            np.multiply(z[:, sl_i], z[:, sl_g], out=cells[k + 1])
+            if t > 0:
+                cells[k + 1] += z[:, sl_f] * cells[k]
+            if k + 1 < n:
+                np.tanh(cells[k + 1], out=hs[k + 1])
+                hs[k + 1] *= z[:, sl_o]
         for t in range(t0 + n - 1, t0 - 1, -1):
             z, tc = block[t - t0], np.tanh(cells[t - t0 + 1])
             i, f, g_, o = z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o]
@@ -425,12 +441,10 @@ def _lstm_backward(cache, grad, dx, lock):
             z[:, sl_i], z[:, sl_f], z[:, sl_g], z[:, sl_o] = d_i, d_f, d_g, d_o
             dh_next = z @ w_hh
         dz2 = block.reshape(n * bsz, four_h)
-        # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh; the
-        # block's cells are spent, so its h_prev rows are copied over them
+        # h_prev is zero at t = 0, so step 0 adds nothing to dw_hh
         skip = bsz if t0 == 0 else 0
-        h_prev = cells[: n - (t0 == 0)]
-        h_prev[...] = hs[max(t0 - 1, 0) : t0 + n - 1]
-        parts = (dz2.T @ x_tm, dz2[skip:].T @ h_prev.reshape(-1, h_size), dz2.sum(axis=0))
+        h_prev = hs[(t0 == 0) : n].reshape(-1, h_size)
+        parts = (dz2.T @ x_tm, dz2[skip:].T @ h_prev, dz2.sum(axis=0))
         if sums is None:
             sums = parts
         else:
@@ -459,12 +473,14 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
     input gradient into one dx under a lock; the weight gradients are
     accumulated on the calling thread only. Under no_grad the forward
     keeps no per-step history. Otherwise it keeps, per direction, one
-    block of gates and the one cell before each block starts, and the
-    node's backward recomputes the other blocks' gates from x, h and the
-    weights, rebuilds every block's cells from its start cell, and spends
-    the cache (_lstm_backward writes its gate derivatives over the block),
-    so it runs once, as the tape runs every node. A sequence of no steps
-    is refused.
+    block of gates and the one cell and h before each block starts, and
+    the node's backward recomputes the other blocks' gates, and rebuilds
+    every block's cells and h, from x, those start states and the
+    weights, and spends the cache (_lstm_backward writes its gate
+    derivatives over the block), so it runs once, as the tape runs every
+    node. Neither the cache nor the backward holds the output, so the
+    tape frees an output nothing else holds before this node's backward
+    allocates its dx. A sequence of no steps is refused.
 
     The name is the one the single-direction op had: perfbench/tracing.py
     wraps this function by name, so its spatial and CRN LSTM spans go on
@@ -492,7 +508,7 @@ def lstm_cell_seq(x, fw, bw) -> Tensor:
         nonlocal cache_fw, cache_bw
         # both halves run in the output's dtype: a grad of another dtype is
         # cast once, as a whole, and one of that dtype is used as it comes
-        grad = grad.astype(out.dtype, copy=False)
+        grad = grad.astype(x.dtype, copy=False)
         # one time-major dx for both directions, bw's reversed in time. Each
         # adds its blocks into it; -0.0 + a is a bit for bit and a + b is
         # b + a, so in either order it holds the bytes of dx_fw + dx_bw

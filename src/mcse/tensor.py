@@ -3,10 +3,16 @@
 A Tensor wraps an ndarray and records the operations applied to it in a
 define-by-run graph. Calling backward() on a scalar result walks the graph
 in reverse topological order and accumulates gradients into every tensor
-that requires them. The walk frees the graph as it goes: once a node's
-backward has run, its closure, its links to its parents and its .grad are
-dropped, so only the leaves (tensors made with requires_grad=True) and
-the root keep a gradient after backward() returns.
+that requires them. The walk frees the graph as it goes: before a node's
+backward runs, the walk takes its closure and .grad into locals, drops
+the node's links to its parents and, for an interior node, its .grad,
+and then its own reference to the node. By then every consumer of the
+node has run, so a node nothing outside the tape holds is freed, output
+array included, before its backward allocates (a closure must not keep
+its own output alive for that; lstm_cell_seq's keeps none). Only the
+leaves (tensors made with requires_grad=True) and the root keep a
+gradient after backward() returns; an interior node the caller holds
+keeps its .data.
 
 The tape copies no gradient. _accum stores the first array it is handed
 for a tensor as that tensor's .grad, so tensors may share one array (both
@@ -91,9 +97,12 @@ class Tensor:
 
     def backward(self):
         """Backpropagate from this tensor. Only scalar roots are allowed.
-        Nodes are popped off the order as they run and their graph links
-        dropped; an interior node's .grad is dropped once its backward has
-        run, so leaves and this root keep theirs."""
+        Each node is popped off the order and released before its backward
+        runs: its graph links are dropped, an interior node's .grad is
+        dropped (its backward gets the array from a local), and the walk
+        lets go of the node, so leaves and this root keep their .grad and
+        an output nothing else holds is freed before its backward
+        allocates."""
         if self.data.size != 1:
             raise ValueError(
                 f"backward() requires a scalar tensor, got shape {self.data.shape}"
@@ -102,13 +111,16 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            fn = node._backward
-            if fn is not None and node.grad is not None:
-                fn(node.grad)
+            fn, g = node._backward, node.grad
             node._backward = None
             node._parents = ()
             if fn is not None and node is not self:
                 node.grad = None
+            # every consumer of the node has run, so an output nothing
+            # else holds is freed here, before its backward allocates
+            node = None
+            if fn is not None and g is not None:
+                fn(g)
 
     # -- operator sugar --------------------------------------------------------
 
@@ -264,8 +276,11 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        _accum(a, unbroadcast(g * b.data, a.data.shape))
-        _accum(b, unbroadcast(g * a.data, b.data.shape))
+        # a constant operand, such as the mixture a mask multiplies, gets none
+        if a.requires_grad:
+            _accum(a, unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, unbroadcast(g * a.data, b.data.shape))
 
     return make_node(out_data, (a, b), backward)
 

@@ -135,6 +135,21 @@ class TestGraphMechanics:
         (x * c).sum().backward()
         assert c.grad is None
 
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_constant_mul_operand_gets_no_gradient(self, const):
+        """The live operand's gradient has the bytes it has when both are
+        live; the constant one gets none."""
+        a, b, g = r(3, 4), r(3, 4), r(3, 4)
+
+        def grads(both):
+            ts = [Tensor(v, requires_grad=both or k != const) for k, v in enumerate((a, b))]
+            (ts[0] * ts[1] * Tensor(g)).sum().backward()
+            return [t.grad for t in ts]
+
+        got, want = grads(False), grads(True)
+        assert got[const] is None
+        assert got[1 - const].tobytes() == want[1 - const].tobytes()
+
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.ones(2), requires_grad=True)
         (x * 3.0).sum().backward()
@@ -226,6 +241,37 @@ class TestTapeFreeing:
         loss.backward()
         assert seen == [None]
         np.testing.assert_array_equal(x.grad, 3.0)
+
+    def test_node_is_gone_when_its_backward_runs(self):
+        """The walk drops its own reference to a node before running the
+        node's backward, so an output nothing else holds, its data
+        included, is freed before the backward allocates; no collection
+        is needed."""
+        x = Tensor(r(3), requires_grad=True)
+        seen = []
+
+        def backward(g):
+            seen.append((out_ref(), data_ref()))
+            _accum(x, g * 2.0)
+
+        out = make_node(x.data * 2.0, (x,), backward)
+        out_ref, data_ref = weakref.ref(out), weakref.ref(out.data)
+        loss = out.sum()
+        del out
+        loss.backward()
+        assert seen == [(None, None)]
+        np.testing.assert_array_equal(x.grad, 2.0)
+
+    def test_held_interior_node_keeps_its_data(self):
+        """An interior node the caller holds loses its links and .grad in
+        the walk, but keeps .data: the training loop reads loss.item()
+        after backward() on a scaled copy of it."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = (x * x).sum()
+        (loss * 0.5).backward()
+        assert loss.item() == 5.0
+        assert loss.grad is None and loss._parents == () and loss._backward is None
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0])
 
 
 class TestTapeOwnership:
